@@ -13,7 +13,7 @@ use dsearch::core::{Configuration, Implementation, IndexGenerator};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch::index::{DocTable, InMemoryIndex};
 use dsearch::persist::segment::{read_segment, write_segment};
-use dsearch::persist::{IncrementalIndexer, SignatureDb};
+use dsearch::persist::{IncrementalIndexer, IndexStore, SignatureDb};
 use dsearch::vfs::{MemFs, VPath};
 
 fn built_index() -> (InMemoryIndex, DocTable) {
@@ -45,15 +45,19 @@ fn bench_segment_roundtrip(c: &mut Criterion) {
             black_box(restored.term_count())
         });
     });
-    group.bench_function("json_snapshot_write_for_comparison", |b| {
+    // The whole store round trip: an atomic commit that replaces every
+    // segment, then the decode-free sealed load `serve` starts from.
+    let dir = std::env::temp_dir().join(format!("dsearch-bench-persist-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = IndexStore::open(&dir).unwrap();
+    group.bench_function("store_commit_then_sealed_load", |b| {
         b.iter(|| {
-            let snapshot = dsearch::index::IndexSnapshot::from_index(&index, &docs);
-            let mut buf = Vec::new();
-            snapshot.write_json(&mut buf).unwrap();
-            black_box(buf.len())
+            store.replace_all(&index, &docs).unwrap();
+            black_box(store.load_all_sealed().unwrap().len())
         });
     });
     group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Builds a corpus, indexes it, then mutates `changed_files` files.

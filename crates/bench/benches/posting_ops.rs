@@ -10,14 +10,13 @@
 //!   reused scratch buffer);
 //! * **union** — folding `union_with` pairwise over many lists against the
 //!   k-way heap merge `union_into`;
-//! * **prefix** — the historical full-table scan against the sorted-
+//! * **prefix** — the full-table scan against a sealed shard's sorted-
 //!   dictionary range lookup.
 //!
-//! The `query_eval` group proves the end-to-end win: the pre-PR-3 evaluation
-//! strategy (clone every posting list, intersect left-to-right in query
-//! order) re-implemented here as the baseline, against
-//! `SingleIndexSearcher::search`'s zero-copy, selectivity-ordered path and
-//! (since PR 4) a sealed snapshot's block-compressed skip-seek path.
+//! The `query_eval` group measures end-to-end evaluation: a naive strategy
+//! (clone every posting list, intersect left-to-right in query order)
+//! re-implemented here as the baseline, against a sealed snapshot's
+//! selectivity-ordered, block-compressed skip-seek path.
 //!
 //! PR 4 adds compressed counterparts to every primitive: `intersect` and
 //! `union` over `BlockCursor`s (skip-seek through compressed blocks) next to
@@ -30,9 +29,9 @@ use std::hint::black_box;
 
 use dsearch::index::{
     intersect_cursors_into, union_cursors_into, union_into, CompressedPostings, DocTable, FileId,
-    InMemoryIndex, PostingList, PostingView, PostingsCursor,
+    InMemoryIndex, PostingList, PostingView, Postings, PostingsCursor, SealedShard,
 };
-use dsearch::query::{Query, QueryTerm, SearchBackend, SingleIndexSearcher};
+use dsearch::query::{Query, QueryTerm};
 use dsearch::server::IndexSnapshot;
 use dsearch::text::Term;
 
@@ -183,8 +182,8 @@ fn bench_prefix(c: &mut Criterion) {
     let mut group = c.benchmark_group("posting_ops");
     group.sample_size(10);
 
-    let (mut index, _docs) = synthetic_index(20_000);
-    // The historical full-table scan, exactly as prefix_postings used to run.
+    let (index, _docs) = synthetic_index(20_000);
+    // The full-table scan: every term tested against the prefix.
     let full_scan = |index: &InMemoryIndex, prefix: &str| {
         let mut out = PostingList::new();
         for (term, list) in index.iter() {
@@ -197,21 +196,18 @@ fn bench_prefix(c: &mut Criterion) {
     group.bench_function("prefix/full_scan/mid1", |b| {
         b.iter(|| black_box(full_scan(&index, "mid1").len()));
     });
-    index.build_dictionary();
+    let shard = SealedShard::from_index(&index);
     group.bench_function("prefix/dictionary/mid1", |b| {
-        let mut out = Vec::new();
         b.iter(|| {
-            let lists = index.prefix_lists("mid1");
-            let views: Vec<PostingView<'_>> = lists.iter().map(|l| l.as_view()).collect();
-            union_into(&views, &mut out);
-            black_box(out.len())
+            let lists = shard.prefix_postings("mid1").iter().collect();
+            black_box(Postings::union_of_compressed(lists).len())
         });
     });
     group.finish();
 }
 
-/// The pre-PR-3 evaluation strategy: clone every posting list out of the
-/// index and intersect in query order, allocating a fresh list per operator.
+/// The naive evaluation strategy: clone every posting list out of the index
+/// and intersect in query order, allocating a fresh list per operator.
 fn eval_cloned_left_to_right(index: &InMemoryIndex, query: &Query) -> usize {
     let mut total = 0usize;
     for group in query.groups() {
@@ -247,9 +243,7 @@ fn bench_query_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_eval");
     group.sample_size(10);
 
-    let (mut index, docs) = synthetic_index(20_000);
-    index.build_dictionary();
-    let searcher = SingleIndexSearcher::new(&index, &docs);
+    let (index, docs) = synthetic_index(20_000);
     let queries: Vec<(&str, Query)> = [
         ("skewed_and", "rare012345 common"),
         ("three_term_and", "mid042 even common"),
@@ -262,15 +256,12 @@ fn bench_query_eval(c: &mut Criterion) {
 
     // The same corpus sealed into a compressed serving snapshot: queries run
     // through block cursors (skip-seek on skewed ANDs, one decode for
-    // single-term results) instead of borrowed slices.
-    let snapshot = IndexSnapshot::from_index(index.clone(), docs.clone(), 1);
+    // single-term results).
+    let snapshot = IndexSnapshot::from_index(index.clone(), docs, 1);
 
     for (name, query) in &queries {
         group.bench_function(format!("cloned_left_to_right/{name}"), |b| {
             b.iter(|| black_box(eval_cloned_left_to_right(&index, query)));
-        });
-        group.bench_function(format!("zero_copy/{name}"), |b| {
-            b.iter(|| black_box(searcher.search(query).len()));
         });
         group.bench_function(format!("sealed_compressed/{name}"), |b| {
             b.iter(|| black_box(snapshot.search(query).len()));

@@ -35,7 +35,7 @@ use dsearch::index::{
     InMemoryIndex, PostingList, PostingView, PostingsCursor, SealedShard,
 };
 use dsearch::obs::Stage;
-use dsearch::query::{search_topk, Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::{search_topk, Query};
 use dsearch::server::{
     EngineConfig, IndexSnapshot, LocalShards, QueryEngine, RemoteShard, RemoteShardConfig,
     ReplicaSet, ReplicaSetConfig, Router, RouterConfig, ShardBackend,
@@ -243,7 +243,7 @@ fn main() {
     let mut record = |key: &str, value: Value| fields.push((key.to_owned(), value));
 
     // ---- Size: bytes/posting on the bench corpus -------------------------
-    let (mut index, docs) = synthetic_index(20_000);
+    let (index, docs) = synthetic_index(20_000);
     let shard = SealedShard::from_index(&index);
     let compressed_bytes = shard.posting_bytes();
     let raw_bytes = shard.uncompressed_posting_bytes();
@@ -302,10 +302,8 @@ fn main() {
     record("union_16x2k_view_ns", Value::UInt(union_view_ns));
     record("union_16x2k_block_ns", Value::UInt(union_block_ns));
 
-    // ---- End to end: query_eval over borrowed vs sealed-compressed -------
-    index.build_dictionary();
-    let searcher = SingleIndexSearcher::new(&index, &docs);
-    let snapshot = IndexSnapshot::from_index(index.clone(), docs.clone(), 1);
+    // ---- End to end: query_eval over the sealed-compressed snapshot ------
+    let snapshot = IndexSnapshot::from_index(index, docs, 1);
     for (name, raw) in [
         ("skewed_and", "rare012345 common"),
         ("three_term_and", "mid042 even common"),
@@ -313,13 +311,9 @@ fn main() {
         ("or_groups", "mid001 common OR mid002 even"),
     ] {
         let query = Query::parse(raw).expect("bench query parses");
-        let zero_copy_ns = median_ns(samples, || {
-            black_box(searcher.search(&query).len());
-        });
         let sealed_ns = median_ns(samples, || {
             black_box(snapshot.search(&query).len());
         });
-        record(&format!("query_{name}_zero_copy_ns"), Value::UInt(zero_copy_ns));
         record(&format!("query_{name}_sealed_ns"), Value::UInt(sealed_ns));
     }
 

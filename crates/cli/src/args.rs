@@ -1,6 +1,6 @@
 //! A small, dependency-free command-line argument parser.
 //!
-//! The grammar is the common GNU-ish subset the `dsearch-cli` commands need:
+//! The grammar is the common GNU-ish subset the `dsearch` commands need:
 //!
 //! * the first non-option token is the subcommand;
 //! * `--name value` and `--name=value` set an option;

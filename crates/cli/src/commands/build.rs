@@ -1,4 +1,4 @@
-//! `dsearch-cli build` — the checkpointed, fault-tolerant index build.
+//! `dsearch build` — the checkpointed, fault-tolerant index build.
 //!
 //! Unlike `index` (the paper's batch pipeline), `build` leases work items,
 //! retries transient failures with backoff, quarantines poison files in the

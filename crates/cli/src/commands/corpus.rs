@@ -1,4 +1,4 @@
-//! `dsearch-cli corpus` — materialise a synthetic benchmark corpus on disk.
+//! `dsearch corpus` — materialise a synthetic benchmark corpus on disk.
 
 use dsearch::corpus::materialize::DirSink;
 use dsearch::corpus::{materialize, CorpusSpec};

@@ -1,4 +1,4 @@
-//! `dsearch-cli curves` — speed-up-vs-thread-count curves per implementation.
+//! `dsearch curves` — speed-up-vs-thread-count curves per implementation.
 
 use dsearch::sim::{all_curves, amdahl_ceiling, PlatformModel, WorkloadModel};
 

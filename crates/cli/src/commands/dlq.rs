@@ -1,4 +1,4 @@
-//! `dsearch-cli dlq` — inspect and replay the dead-letter queue.
+//! `dsearch dlq` — inspect and replay the dead-letter queue.
 //!
 //! `dlq list` prints the quarantined files with their attempt counts and
 //! final errors; `dlq replay` re-runs them through the build pipeline once

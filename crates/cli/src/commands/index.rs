@@ -1,4 +1,4 @@
-//! `dsearch-cli index` — index a directory and persist the result.
+//! `dsearch index` — index a directory and persist the result.
 
 use std::path::PathBuf;
 

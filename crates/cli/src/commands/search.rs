@@ -1,8 +1,12 @@
-//! `dsearch-cli search` — query a persisted index.
+//! `dsearch search` — query a persisted index.
+//!
+//! The store loads as the same sealed snapshot `serve` answers from, and the
+//! query is answered by the same rule ([`IndexSnapshot::evaluate`]), so both
+//! front ends return the same hits in the same order with the same scores.
 
-use dsearch::index::IndexSet;
 use dsearch::persist::IndexStore;
-use dsearch::query::{MultiIndexSearcher, Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::Query;
+use dsearch::server::IndexSnapshot;
 
 use crate::args::ParsedArgs;
 use crate::CliError;
@@ -27,33 +31,26 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let store = IndexStore::open(store_path).map_err(CliError::failed)?;
     if store.segment_count() == 0 {
         return Err(CliError::Failed(format!(
-            "index store {store_path} is empty; run `dsearch-cli index` first"
+            "index store {store_path} is empty; run `dsearch index` first"
         )));
     }
-
-    // One segment → search it directly; several segments are the un-joined
-    // replicas of Implementation 3 and are searched together.
-    let mut results = if store.segment_count() == 1 {
-        let (index, docs) = store.load_segment(0).map_err(CliError::failed)?;
-        SingleIndexSearcher::new(&index, &docs).search(&query)
-    } else {
-        let segments = store.load_all().map_err(CliError::failed)?;
-        let mut docs = dsearch::index::DocTable::new();
-        let mut replicas = Vec::with_capacity(segments.len());
-        for (replica, segment_docs) in segments {
-            if segment_docs.len() > docs.len() {
-                docs = segment_docs;
-            }
-            replicas.push(replica);
-        }
-        let set = IndexSet::new(replicas);
-        MultiIndexSearcher::new(&set, &docs).search(&query)
-    };
-    results.truncate(limit);
+    // Every segment is one sealed shard: a joined index is one shard, the
+    // un-joined replicas of Implementation 3 are one shard each.
+    let snapshot = IndexSnapshot::load(&store, 1).map_err(CliError::failed)?;
+    let (results, _) = snapshot.evaluate(&query, limit, &snapshot.searcher());
 
     let mut out = format!("query: {query}\n{} result(s)\n", results.len());
     for hit in results.hits() {
-        out.push_str(&format!("  {}  (matched {} terms)\n", hit.path, hit.matched_terms));
+        // `f32` `Display` is shortest-roundtrip: the printed score parses
+        // back to the served score bit for bit.
+        if hit.score == 0.0 {
+            out.push_str(&format!("  {}  (matched {} terms)\n", hit.path, hit.matched_terms));
+        } else {
+            out.push_str(&format!(
+                "  {}  (matched {} terms, score {})\n",
+                hit.path, hit.matched_terms, hit.score
+            ));
+        }
     }
     Ok(out)
 }

@@ -1,4 +1,4 @@
-//! `dsearch-cli tables` — print the paper's tables from the platform models.
+//! `dsearch tables` — print the paper's tables from the platform models.
 
 use dsearch::core::Implementation;
 use dsearch::sim::paper;

@@ -1,4 +1,4 @@
-//! `dsearch-cli tune` — search the `(x, y, z)` space with the auto-tuners.
+//! `dsearch tune` — search the `(x, y, z)` space with the auto-tuners.
 //!
 //! The paper used an auto-tuner (Schäfer et al.) to explore thread
 //! allocations.  This command runs the reproduction's tuners (exhaustive,

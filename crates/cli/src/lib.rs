@@ -1,4 +1,4 @@
-//! The `dsearch-cli` command-line tool.
+//! The `dsearch` command-line tool (crate `dsearch-cli`).
 //!
 //! A thin, scriptable front end over the `dsearch` library — the "desktop
 //! search" application the paper's index generator exists to serve:
@@ -8,7 +8,7 @@
 //! | `index <dir> --store <path>` | index a directory with one of the paper's three parallel implementations and persist the result |
 //! | `build <dir> --store <path>` | checkpointed fault-tolerant build: leased work items, retries with backoff, dead-letter queue, `--resume` |
 //! | `dlq list\|replay --store <path>` | inspect the dead-letter queue or re-run its quarantined files |
-//! | `search --store <path> <query…>` | run a boolean/prefix query against a persisted index |
+//! | `search --store <path> <query…>` | answer a query against a persisted index exactly as `serve` would (BM25-ranked, boolean for prefix/`NOT`) |
 //! | `serve --store <path> [--tcp addr]` | run the concurrent query service (line protocol, snapshot reloads) |
 //! | `loadgen --store <path>` | replay a derived query workload and report QPS + latency percentiles |
 //! | `corpus <dir> --scale 0.01` | materialise a synthetic benchmark corpus with the paper's shape |
@@ -58,10 +58,10 @@ impl CliError {
 /// The top-level usage text.
 #[must_use]
 pub fn usage() -> String {
-    "dsearch-cli — parallel desktop-search index generator (Meder & Tichy 2010 reproduction)
+    "dsearch — parallel desktop-search index generator (Meder & Tichy 2010 reproduction)
 
 USAGE:
-    dsearch-cli <command> [arguments]
+    dsearch <command> [arguments]
 
 COMMANDS:
     index <dir> --store <path> [--extractors N] [--updaters N] [--joiners N]
@@ -88,6 +88,9 @@ COMMANDS:
 
     search --store <path> <query words…> [--limit N]
         Query a persisted index.  Supports AND/OR/NOT and trailing-* prefixes.
+        Answers exactly as `serve` does on the same store: BM25-ranked
+        (scores printed) unless the query has prefix or NOT terms, which
+        rank by matched terms, then path.
 
     serve --store <path> [--tcp ADDR] [--workers N] [--cache N]
           [--cache-shards N] [--limit N] [--max-batch N]
@@ -174,7 +177,7 @@ where
         Some("curves") => commands::curves::run(&args),
         Some("tune") => commands::tune::run(&args),
         Some(other) => Err(CliError::Usage(format!(
-            "unknown command {other:?}; run `dsearch-cli help` for the command list"
+            "unknown command {other:?}; run `dsearch help` for the command list"
         ))),
     }
 }
@@ -196,6 +199,15 @@ mod tests {
         let err = run(["frobnicate"]).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
         assert!(err.to_string().contains("frobnicate"));
+    }
+
+    #[test]
+    fn unknown_command_hint_names_the_dsearch_binary() {
+        // The binary users run is `dsearch`; the crate name is not a command.
+        let err = run(["frobnicate"]).unwrap_err();
+        assert!(err.to_string().contains("run `dsearch help`"), "{err}");
+        assert!(usage().contains("    dsearch <command> [arguments]"));
+        assert!(!usage().contains("dsearch-cli"));
     }
 
     #[test]

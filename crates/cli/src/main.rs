@@ -1,4 +1,4 @@
-//! Binary entry point for `dsearch-cli`.
+//! Binary entry point for `dsearch`.
 
 use std::process::ExitCode;
 

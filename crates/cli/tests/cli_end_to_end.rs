@@ -4,6 +4,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use dsearch::persist::IndexStore;
+use dsearch::server::{EngineConfig, IndexSnapshot, QueryEngine};
 use dsearch_cli::{run, CliError};
 
 struct TempDir(PathBuf);
@@ -223,6 +225,7 @@ fn searching_an_empty_store_fails_cleanly() {
         run(["search".to_owned(), "--store".to_owned(), store, "anything".to_owned()]).unwrap_err();
     assert!(matches!(err, CliError::Failed(_)));
     assert!(err.to_string().contains("empty"));
+    assert!(err.to_string().contains("run `dsearch index` first"), "{err}");
 }
 
 #[test]
@@ -231,4 +234,226 @@ fn tables_and_curves_commands_run_without_a_corpus() {
     assert!(out.contains("32-core"));
     let out = run(["curves", "--platform", "4", "--max-threads", "4"]).unwrap();
     assert!(out.contains("Implementation 3"));
+}
+
+/// One hit as `(path, matched terms, score bits)`.
+type HitKey = (String, usize, u32);
+
+/// Parses the hit lines of `dsearch search` output:
+/// `  <path>  (matched <n> terms[, score <s>])`.
+fn cli_hits(out: &str) -> Vec<HitKey> {
+    out.lines()
+        .filter_map(|line| line.strip_prefix("  "))
+        .map(|line| {
+            let (path, rest) = line.rsplit_once("  (matched ").expect("hit line shape");
+            let rest = rest.strip_suffix(')').expect("hit line closes");
+            let (matched, score) = match rest.split_once(" terms, score ") {
+                Some((matched, score)) => (matched, score.parse::<f32>().expect("score parses")),
+                None => (rest.strip_suffix(" terms").expect("terms suffix"), 0.0),
+            };
+            (path.to_owned(), matched.parse().expect("matched count"), score.to_bits())
+        })
+        .collect()
+}
+
+/// What `serve`'s engine answers for `raw` on `store` at `limit`.
+fn served_hits(store: &str, raw: &str, limit: usize) -> (usize, Vec<HitKey>) {
+    let snapshot = IndexSnapshot::load(&IndexStore::open(store).unwrap(), 1).unwrap();
+    let shards = snapshot.shard_count();
+    let config = EngineConfig { workers: 1, result_limit: limit, ..EngineConfig::default() };
+    let engine = QueryEngine::new(snapshot, config).unwrap();
+    let response = engine.execute(raw).unwrap();
+    let hits = response
+        .results
+        .hits()
+        .iter()
+        .map(|h| (h.path.to_string(), h.matched_terms, h.score.to_bits()))
+        .collect();
+    (shards, hits)
+}
+
+/// A small deterministic generator (xorshift64*) for seeded corpora.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+    }
+
+    /// A skewed pick: early vocabulary words are much more frequent.
+    fn word(&mut self) -> &'static str {
+        VOCAB[self.below(VOCAB.len()).min(self.below(VOCAB.len()))]
+    }
+}
+
+const VOCAB: &[&str] = &[
+    "rust", "search", "index", "parallel", "rusty", "indexer", "serve", "segment", "replica",
+    "query", "shard", "score",
+];
+
+#[test]
+fn search_answers_exactly_like_serve_on_random_stores() {
+    let mut shard_counts = std::collections::BTreeSet::new();
+    for seed in 0..6u64 {
+        let implementation = seed % 3 + 1;
+        let extractors = 2 + seed % 2;
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15 ^ (seed + 1).wrapping_mul(0x1234_5678_9abc));
+        let dir = TempDir::new(&format!("differential-{seed}"));
+        let docs = dir.path().join("docs");
+        fs::create_dir_all(&docs).unwrap();
+        for file in 0..12 + rng.below(12) {
+            let words: Vec<&str> = (0..1 + rng.below(10)).map(|_| rng.word()).collect();
+            fs::write(docs.join(format!("doc{file:02}.txt")), words.join(" ")).unwrap();
+        }
+        let store = dir.sub("store");
+        run([
+            "index".to_owned(),
+            docs.to_string_lossy().into_owned(),
+            "--store".to_owned(),
+            store.clone(),
+            "--implementation".to_owned(),
+            implementation.to_string(),
+            "--extractors".to_owned(),
+            extractors.to_string(),
+        ])
+        .unwrap();
+
+        // All five query shapes: term, OR, AND, prefix and NOT.
+        let mut queries = Vec::new();
+        for _ in 0..4 {
+            let (a, b) = (rng.word(), rng.word());
+            queries.push(a.to_owned());
+            queries.push(format!("{a} OR {b}"));
+            queries.push(format!("{a} AND {b}"));
+            queries.push(format!("{}* OR {b}", &a[..3]));
+            queries.push(format!("{a} NOT {b}"));
+        }
+        for raw in &queries {
+            for limit in [3usize, 20] {
+                let mut argv = vec![
+                    "search".to_owned(),
+                    "--store".to_owned(),
+                    store.clone(),
+                    "--limit".to_owned(),
+                    limit.to_string(),
+                ];
+                argv.extend(raw.split_whitespace().map(str::to_owned));
+                let out = run(argv).unwrap();
+                let (shards, served) = served_hits(&store, raw, limit);
+                shard_counts.insert(shards);
+                let printed = cli_hits(&out);
+                assert!(out.contains(&format!("\n{} result(s)\n", printed.len())), "{out}");
+                assert_eq!(
+                    printed, served,
+                    "seed {seed}, Implementation {implementation}, query {raw:?}, limit {limit}"
+                );
+            }
+        }
+    }
+    assert_eq!(shard_counts.into_iter().collect::<Vec<_>>(), vec![1, 2, 3]);
+}
+
+#[test]
+fn search_ranks_by_bm25_like_serve() {
+    let dir = TempDir::new("bm25-order");
+    let docs = dir.path().join("docs");
+    fs::create_dir_all(&docs).unwrap();
+    fs::write(docs.join("a.txt"), "rust rust rust search").unwrap();
+    fs::write(docs.join("b.txt"), "rust search search search search").unwrap();
+    fs::write(docs.join("c.txt"), "rust parallel").unwrap();
+    let store = dir.sub("store");
+    run([
+        "index".to_owned(),
+        docs.to_string_lossy().into_owned(),
+        "--store".to_owned(),
+        store.clone(),
+    ])
+    .unwrap();
+    let out = run([
+        "search".to_owned(),
+        "--store".to_owned(),
+        store,
+        "rust".to_owned(),
+        "OR".to_owned(),
+        "search".to_owned(),
+    ])
+    .unwrap();
+    let paths: Vec<String> = cli_hits(&out)
+        .into_iter()
+        .map(|(path, _, _)| Path::new(&path).file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(paths, vec!["b.txt", "a.txt", "c.txt"], "{out}");
+    assert!(out.contains("(matched 2 terms, score "), "{out}");
+}
+
+#[test]
+fn search_hit_lines_keep_the_format_scripts_parse() {
+    // Scripts (and the benchmark harness) split hit lines at
+    // "  (matched": the path comes first, two spaces in, and the score
+    // follows the matched-term count on ranked hits only.
+    let dir = TempDir::new("hit-lines");
+    let docs = dir.path().join("docs");
+    fs::create_dir_all(&docs).unwrap();
+    write_docs(&docs);
+    let store = dir.sub("store");
+    run([
+        "index".to_owned(),
+        docs.to_string_lossy().into_owned(),
+        "--store".to_owned(),
+        store.clone(),
+    ])
+    .unwrap();
+    let search = |words: &[&str]| {
+        let mut argv = vec!["search".to_owned(), "--store".to_owned(), store.clone()];
+        argv.extend(words.iter().map(|w| (*w).to_owned()));
+        run(argv).unwrap()
+    };
+    let ranked = search(&["parallel", "--limit", "1"]);
+    let lines: Vec<&str> = ranked.lines().collect();
+    assert_eq!(lines[..2], ["query: parallel", "1 result(s)"], "{ranked}");
+    assert!(lines[2].starts_with("  "), "{ranked}");
+    assert!(lines[2].contains("  (matched 1 terms, score "), "{ranked}");
+    assert_eq!(lines.len(), 3, "--limit 1 keeps one hit: {ranked}");
+    // Prefix and NOT queries are answered unranked: no score.
+    for words in [&["revenu*"][..], &["parallel", "NOT", "roadmap"]] {
+        let out = search(words);
+        let hits: Vec<&str> = out.lines().filter(|l| l.starts_with("  ")).collect();
+        assert_eq!(hits.len(), 1, "{out}");
+        assert!(hits[0].ends_with("  (matched 1 terms)"), "{out}");
+    }
+}
+
+#[test]
+fn search_answers_like_serve_on_checkpointed_build_stores() {
+    // `dsearch build` seals a segment per checkpoint: at --checkpoint-every
+    // 0 every file is its own segment, the most shards a store can have.
+    let dir = TempDir::new("build-differential");
+    let docs = dir.path().join("docs");
+    fs::create_dir_all(&docs).unwrap();
+    let mut rng = Rng(0x0dd_ba11);
+    for file in 0..10 {
+        let words: Vec<&str> = (0..1 + rng.below(8)).map(|_| rng.word()).collect();
+        fs::write(docs.join(format!("doc{file:02}.txt")), words.join(" ")).unwrap();
+    }
+    let store = dir.sub("store");
+    run([
+        "build".to_owned(),
+        docs.to_string_lossy().into_owned(),
+        "--store".to_owned(),
+        store.clone(),
+        "--checkpoint-every".to_owned(),
+        "0".to_owned(),
+    ])
+    .unwrap();
+    for raw in ["rust", "rust OR search", "rust search", "ind* OR rust", "search NOT rust"] {
+        let mut argv = vec!["search".to_owned(), "--store".to_owned(), store.clone()];
+        argv.extend(raw.split_whitespace().map(str::to_owned));
+        let out = run(argv).unwrap();
+        let (shards, served) = served_hits(&store, raw, 20);
+        assert!(shards > 1, "a per-file checkpointed build has many segments");
+        assert_eq!(cli_hits(&out), served, "query {raw:?}");
+    }
 }

@@ -11,7 +11,7 @@
 //! | [`corpus`] | `dsearch-corpus` | synthetic benchmark corpus generator (the paper's 51 000-file / 869 MB workload) |
 //! | [`index`] | `dsearch-index` | inverted index: shared/locked, replicated, joined, sharded |
 //! | [`core`] | `dsearch-core` | the three-stage parallel index generator and its three implementations |
-//! | [`query`] | `dsearch-query` | boolean search over single or replicated indices |
+//! | [`query`] | `dsearch-query` | boolean and BM25-ranked search over sealed index shards |
 //! | [`obs`] | `dsearch-obs` | observability: metrics registry, query tracing, slow-query log |
 //! | [`server`] | `dsearch-server` | concurrent query serving: snapshots, worker pool, cache, load generator |
 //! | [`sim`] | `dsearch-sim` | calibrated models of the paper's 4-, 8- and 32-core platforms |
@@ -22,7 +22,8 @@
 //! ```
 //! use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
 //! use dsearch::core::{Configuration, Implementation, IndexGenerator};
-//! use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
+//! use dsearch::query::Query;
+//! use dsearch::server::IndexSnapshot;
 //! use dsearch::vfs::VPath;
 //!
 //! // 1. Create (or point at) a corpus.
@@ -34,10 +35,13 @@
 //!     .expect("index generation succeeds");
 //! let (index, docs) = run.outcome.into_single_index();
 //!
-//! // 3. Search it.
-//! let searcher = SingleIndexSearcher::new(&index, &docs);
-//! let results = searcher.search(&Query::parse("the").unwrap_or_else(|_| Query::parse("a").unwrap()));
-//! let _ = results.len();
+//! // 3. Seal it into the serving form and answer a query the way `dsearch
+//! //    search` and `serve` do: BM25-ranked top 10 (prefix and NOT queries
+//! //    fall back to boolean evaluation).
+//! let snapshot = IndexSnapshot::from_index(index, docs, 1);
+//! let query = Query::parse("the").unwrap_or_else(|_| Query::parse("a").unwrap());
+//! let (results, _prune) = snapshot.evaluate(&query, 10, &snapshot.searcher());
+//! assert!(results.len() <= 10);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -81,7 +85,7 @@ pub mod core {
     pub use dsearch_core::*;
 }
 
-/// Boolean search over single or replicated indices.
+/// Boolean and BM25-ranked search over sealed index shards.
 pub mod query {
     pub use dsearch_query::*;
 }

@@ -11,8 +11,9 @@
 //! * [`join`] — merging per-thread replica indices at the end of the run,
 //!   either with a single thread or as a parallel reduction
 //!   (**Implementation 2**, the "Join Forces" pattern);
-//! * [`IndexSet`] — a collection of un-joined replicas that can be searched
-//!   together (**Implementation 3**);
+//! * [`IndexSet`] — the collection of un-joined replicas that
+//!   **Implementation 3** ends with (persisted one segment per replica and
+//!   served as the shards of one sealed snapshot);
 //! * [`ShardedIndex`] — a term-sharded index with one lock per shard, used by
 //!   the ablation benchmarks as a fourth design point;
 //! * [`DocTable`] — the table mapping compact [`FileId`]s to file paths,
@@ -20,8 +21,8 @@
 //!   synchronisation to name files;
 //! * [`view`] — borrowed [`PostingView`]s over posting lists plus the
 //!   allocation-free set operations (galloping intersection, k-way heap
-//!   union), the [`Postings`] borrow-or-owned wrapper the query layer
-//!   evaluates with, and the cursor-based set operations that run over
+//!   union), the [`Postings`] compressed-borrow-or-merged wrapper the query
+//!   layer evaluates with, and the cursor-based set operations that run over
 //!   compressed and raw lists alike;
 //! * [`block`] — block-compressed posting lists ([`CompressedPostings`]:
 //!   128-id delta blocks with per-block skip metadata) and the skip-aware
@@ -56,7 +57,6 @@ pub mod join;
 pub mod memory_index;
 pub mod posting;
 pub mod sealed;
-pub mod serialize;
 pub mod sharded;
 pub mod shared;
 pub mod stats;
@@ -71,7 +71,6 @@ pub use join::{join_all, join_into, parallel_join, JoinPlan};
 pub use memory_index::InMemoryIndex;
 pub use posting::PostingList;
 pub use sealed::{bm25_idf, bm25_neutral_norm, bm25_score, SealedShard, BM25_B, BM25_K1};
-pub use serialize::{IndexSnapshot, SerializeError};
 pub use sharded::ShardedIndex;
 pub use shared::{IndexSet, SharedIndex};
 pub use stats::IndexStats;

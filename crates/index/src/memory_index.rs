@@ -4,7 +4,7 @@
 //! an FNV hash map from [`Term`] to [`PostingList`].  Implementation 1 wraps
 //! it in a lock ([`crate::SharedIndex`]); Implementations 2 and 3 give each
 //! extractor thread a private one ("replica") and either join them
-//! ([`crate::join`]) or search them together ([`crate::IndexSet`]).
+//! ([`crate::join`]) or keep them apart ([`crate::IndexSet`]).
 //!
 //! The update path follows the paper's design: terms arrive **en bloc** as the
 //! de-duplicated word list of one file ([`InMemoryIndex::insert_file`]), so no
@@ -27,12 +27,6 @@ pub struct InMemoryIndex {
     /// inserted through the uncounted path get their distinct-term count,
     /// which is exact when every frequency is 1.
     doc_lens: std::collections::HashMap<FileId, u32>,
-    /// Sorted term dictionary for binary-searched prefix ranges; valid only
-    /// while `dictionary_valid` (any mutation invalidates it).  Built by
-    /// [`InMemoryIndex::build_dictionary`], typically once per serving
-    /// snapshot after loading.
-    dictionary: Vec<Term>,
-    dictionary_valid: bool,
 }
 
 impl InMemoryIndex {
@@ -51,8 +45,6 @@ impl InMemoryIndex {
             files_indexed: 0,
             postings: 0,
             doc_lens: std::collections::HashMap::new(),
-            dictionary: Vec::new(),
-            dictionary_valid: false,
         }
     }
 
@@ -76,7 +68,6 @@ impl InMemoryIndex {
     where
         I: IntoIterator<Item = (Term, u32)>,
     {
-        self.dictionary_valid = false;
         let mut doc_len: u64 = 0;
         for (term, tf) in terms {
             let tf = tf.max(1);
@@ -95,7 +86,6 @@ impl InMemoryIndex {
     /// This is the *per-occurrence* update path used only by the ablation that
     /// disables the condensed word list; it must tolerate duplicates.
     pub fn insert_occurrence(&mut self, file: FileId, term: Term) {
-        self.dictionary_valid = false;
         let list = self.terms.entry_or_default(term);
         if list.add(file) {
             self.postings += 1;
@@ -147,7 +137,6 @@ impl InMemoryIndex {
         if list.is_empty() {
             return;
         }
-        self.dictionary_valid = false;
         if let Some(mine) = self.terms.get_mut(term.as_str()) {
             let before = mine.len();
             mine.union_with(&list);
@@ -199,61 +188,20 @@ impl InMemoryIndex {
         self.terms.iter()
     }
 
-    /// Builds (or rebuilds) the sorted term dictionary that turns prefix
-    /// lookups into a binary-searched range instead of a full-table scan.
-    ///
-    /// Serving-side snapshots call this once after loading a shard; mutation
-    /// invalidates the dictionary, so long-lived mutable indices simply fall
-    /// back to the scan until sealed again.  A no-op when already valid.
-    ///
-    /// The dictionary clones each term string, a deliberate trade-off: it
-    /// costs one O(vocabulary) copy per snapshot publish and a second copy
-    /// of the term text in memory, in exchange for keeping the hash map and
-    /// the range structure independent (no self-borrowing).  Interning terms
-    /// (`Arc<str>`-backed `Term`) would remove the duplication — noted as a
-    /// ROADMAP follow-up.
-    pub fn build_dictionary(&mut self) {
-        if self.dictionary_valid {
-            return;
-        }
-        self.dictionary.clear();
-        self.dictionary.extend(self.terms.iter().map(|(term, _)| term.clone()));
-        self.dictionary.sort_unstable();
-        self.dictionary_valid = true;
-    }
-
-    /// The sorted term dictionary, when built and still valid.
-    #[must_use]
-    pub fn dictionary(&self) -> Option<&[Term]> {
-        self.dictionary_valid.then_some(self.dictionary.as_slice())
-    }
-
-    /// The posting lists of every term starting with `prefix`.
-    ///
-    /// With a valid dictionary this is a binary search to the start of the
-    /// matching range plus one walk over its members; otherwise it scans the
-    /// whole table (same results, linear cost).  Callers union the returned
-    /// lists, typically through [`crate::view::union_into`].
+    /// The posting lists of every term starting with `prefix`, by a scan of
+    /// the whole table.  Serving evaluates prefixes over a sealed shard's
+    /// sorted dictionary instead ([`crate::SealedShard::prefix_postings`]);
+    /// this scan is the reference those ranges are checked against.
     #[must_use]
     pub fn prefix_lists(&self, prefix: &str) -> Vec<&PostingList> {
-        if self.dictionary_valid {
-            let start = self.dictionary.partition_point(|term| term.as_str() < prefix);
-            self.dictionary[start..]
-                .iter()
-                .take_while(|term| term.as_str().starts_with(prefix))
-                .filter_map(|term| self.terms.get(term.as_str()))
-                .collect()
-        } else {
-            self.iter()
-                .filter(|(term, _)| term.as_str().starts_with(prefix))
-                .map(|(_, list)| list)
-                .collect()
-        }
+        self.iter()
+            .filter(|(term, _)| term.as_str().starts_with(prefix))
+            .map(|(_, list)| list)
+            .collect()
     }
 
     /// Merges `other` into `self` (used by the join stage).
     pub fn merge_from(&mut self, other: &InMemoryIndex) {
-        self.dictionary_valid = false;
         for (term, list) in other.iter() {
             let mine = self.terms.entry_or_default(term.clone());
             let before = mine.len();
@@ -270,7 +218,6 @@ impl InMemoryIndex {
     /// Consumes `other` and merges it into `self`, reusing `other`'s posting
     /// lists where possible.
     pub fn absorb(&mut self, other: InMemoryIndex) {
-        self.dictionary_valid = false;
         for (file, len) in other.doc_lens {
             let mine = self.doc_lens.entry(file).or_insert(0);
             *mine = (*mine).max(len);
@@ -295,7 +242,6 @@ impl InMemoryIndex {
     /// when anything was removed.  Used by the incremental re-indexer when a
     /// file is deleted or modified.
     pub fn remove_file(&mut self, file: FileId) -> u64 {
-        self.dictionary_valid = false;
         let affected: Vec<Term> = self
             .iter()
             .filter(|(_, list)| list.contains(file))
@@ -536,76 +482,34 @@ mod tests {
     }
 
     #[test]
-    fn dictionary_lifecycle() {
-        let mut idx = InMemoryIndex::new();
-        assert!(idx.dictionary().is_none());
-        idx.insert_file(FileId(0), [t("beta"), t("alpha"), t("alphabet")]);
-        assert!(idx.dictionary().is_none(), "mutation leaves the dictionary unbuilt");
-        idx.build_dictionary();
-        let dict = idx.dictionary().unwrap();
-        assert_eq!(dict, &[t("alpha"), t("alphabet"), t("beta")]);
-        // Mutation invalidates; rebuilding restores.
-        idx.insert_file(FileId(1), [t("gamma")]);
-        assert!(idx.dictionary().is_none());
-        idx.build_dictionary();
-        assert_eq!(idx.dictionary().unwrap().len(), 4);
-        // Rebuilding a valid dictionary is a no-op.
-        idx.build_dictionary();
-        assert_eq!(idx.dictionary().unwrap().len(), 4);
-    }
-
-    #[test]
     fn prefix_lists_with_and_without_dictionary() {
         let mut idx = InMemoryIndex::new();
         idx.insert_file(FileId(0), [t("index"), t("indexes"), t("into"), t("java")]);
         idx.insert_file(FileId(1), [t("index"), t("rust")]);
+        // The sorted dictionary prefix ranges are resolved against is the
+        // sealed shard's; the scan must find the same lists.
+        let sealed = crate::SealedShard::from_index(&idx);
 
-        let collect = |idx: &InMemoryIndex, prefix: &str| {
-            let mut all: Vec<Vec<FileId>> =
+        for prefix in ["inde", "", "zz", "zzzz", "j", "rust"] {
+            let mut scanned: Vec<Vec<FileId>> =
                 idx.prefix_lists(prefix).iter().map(|l| l.doc_ids().to_vec()).collect();
-            all.sort();
-            all
-        };
-        let scanned = collect(&idx, "inde");
-        idx.build_dictionary();
-        assert_eq!(collect(&idx, "inde"), scanned);
+            scanned.sort();
+            let mut ranged: Vec<Vec<FileId>> = sealed
+                .prefix_postings(prefix)
+                .iter()
+                .map(|cp| cp.to_list().doc_ids().to_vec())
+                .collect();
+            ranged.sort();
+            assert_eq!(ranged, scanned, "prefix {prefix:?}");
+        }
         assert_eq!(idx.prefix_lists("inde").len(), 2);
         assert_eq!(idx.prefix_lists("").len(), 5);
         assert!(idx.prefix_lists("zz").is_empty());
         // A prefix past every term must not panic at the range boundary.
-        assert!(idx.prefix_lists("zzzz").is_empty());
+        assert!(sealed.prefix_postings("zzzz").is_empty());
     }
 
     proptest! {
-        /// Dictionary-backed prefix ranges return exactly the lists a linear
-        /// scan finds, for arbitrary vocabularies and prefixes.
-        #[test]
-        fn dictionary_prefix_matches_scan(
-            docs in proptest::collection::vec(
-                (0u32..64, proptest::collection::vec("[a-c]{1,4}", 1..6)),
-                1..30,
-            ),
-            prefix in "[a-c]{0,3}",
-        ) {
-            let mut idx = InMemoryIndex::new();
-            for (file, words) in &docs {
-                let mut uniq = words.clone();
-                uniq.sort();
-                uniq.dedup();
-                idx.insert_file(FileId(*file), uniq.iter().map(|w| Term::from(w.as_str())));
-            }
-            let normalize = |lists: Vec<&PostingList>| {
-                let mut all: Vec<Vec<FileId>> =
-                    lists.into_iter().map(|l| l.doc_ids().to_vec()).collect();
-                all.sort();
-                all
-            };
-            let scanned = normalize(idx.prefix_lists(&prefix));
-            idx.build_dictionary();
-            let ranged = normalize(idx.prefix_lists(&prefix));
-            prop_assert_eq!(ranged, scanned);
-        }
-
         /// Splitting a stream of (file, terms) insertions across two indices
         /// and merging them equals inserting everything into one index.
         #[test]

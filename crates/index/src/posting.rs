@@ -80,14 +80,6 @@ impl PostingList {
         list
     }
 
-    /// A static empty list, for lookup paths that must return a borrow even
-    /// when the term is unknown (no allocation).
-    #[must_use]
-    pub fn empty_ref() -> &'static PostingList {
-        static EMPTY: PostingList = PostingList { ids: Vec::new(), tfs: Vec::new() };
-        &EMPTY
-    }
-
     /// Restores the canonical `tfs` form (empty ⇔ all frequencies are 1).
     fn canonicalize_tfs(&mut self) {
         if !self.tfs.is_empty() && self.tfs.iter().all(|&tf| tf <= 1) {
@@ -465,8 +457,7 @@ mod tests {
         let list = PostingList::from_sorted(ids(&[2, 4, 6]));
         assert_eq!(list.doc_ids(), ids(&[2, 4, 6]).as_slice());
         assert_eq!(list.as_view().len(), 3);
-        assert!(PostingList::empty_ref().is_empty());
-        assert_eq!(PostingList::empty_ref().as_view().len(), 0);
+        assert_eq!(PostingList::new().as_view().len(), 0);
     }
 
     #[test]

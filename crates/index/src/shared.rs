@@ -4,7 +4,8 @@
 //!   behind a mutex; every extractor (or dedicated updater thread) locks it to
 //!   insert one file's word list.
 //! * [`IndexSet`] is the result structure of **Implementation 3**: the
-//!   per-thread replicas are kept separate and searched together.
+//!   per-thread replicas are kept separate (persisted as one segment each,
+//!   they are sealed and searched as the shards of one snapshot).
 
 use std::sync::Arc;
 
@@ -16,7 +17,6 @@ use crate::doc_table::FileId;
 use crate::memory_index::InMemoryIndex;
 use crate::posting::PostingList;
 use crate::stats::IndexStats;
-use crate::view::Postings;
 
 /// A single shared index protected by a lock (Implementation 1).
 ///
@@ -129,10 +129,9 @@ impl SharedIndex {
 
 /// A set of un-joined per-thread replica indices (Implementation 3).
 ///
-/// Searching consults every replica and unions the results; because each file
-/// was assigned to exactly one extractor (round-robin distribution), each
-/// replica holds a disjoint set of files and the union is duplicate-free by
-/// construction.
+/// Each file was assigned to exactly one extractor (round-robin
+/// distribution), so each replica holds a disjoint set of files and the
+/// union of their postings is duplicate-free by construction.
 #[derive(Debug, Clone, Default)]
 pub struct IndexSet {
     replicas: Vec<InMemoryIndex>,
@@ -179,88 +178,6 @@ impl IndexSet {
             }
         }
         out
-    }
-
-    /// Borrows the posting list of every replica that knows `term`, without
-    /// merging — the zero-copy building block the query layer unions lazily.
-    #[must_use]
-    pub fn posting_lists(&self, term: &Term) -> Vec<&PostingList> {
-        self.replicas.iter().filter_map(|replica| replica.postings(term)).collect()
-    }
-
-    /// The posting list for `term` as a borrow-preserving [`Postings`]:
-    /// borrowed whenever at most one replica holds the term (a single-replica
-    /// set never even collects lookup results into a vector), a k-way merge
-    /// only on genuine cross-replica overlap.  With `parallel`, lookups fan
-    /// out one thread per replica.
-    #[must_use]
-    pub fn term_postings(&self, term: &Term, parallel: bool) -> Postings<'_> {
-        if let [only] = self.replicas.as_slice() {
-            return match only.postings(term) {
-                Some(list) => Postings::Borrowed(list),
-                None => Postings::empty(),
-            };
-        }
-        let lists = if parallel && self.replicas.len() > 1 {
-            self.posting_lists_parallel(term)
-        } else {
-            self.posting_lists(term)
-        };
-        Postings::union_of(lists)
-    }
-
-    /// The union of the posting lists of every term starting with `prefix`
-    /// across every replica, as a borrow-preserving [`Postings`].  With
-    /// `parallel`, each replica's dictionary range (or scan) runs on its own
-    /// thread.
-    #[must_use]
-    pub fn prefix_term_postings(&self, prefix: &str, parallel: bool) -> Postings<'_> {
-        let lists = if parallel && self.replicas.len() > 1 {
-            self.prefix_posting_lists_parallel(prefix)
-        } else {
-            self.prefix_posting_lists(prefix)
-        };
-        Postings::union_of(lists)
-    }
-
-    /// Like [`IndexSet::posting_lists`], with one lookup thread per replica.
-    ///
-    /// Worth it only for large replica counts; the returned borrows live as
-    /// long as the set itself, so nothing is cloned across the threads.
-    #[must_use]
-    pub fn posting_lists_parallel(&self, term: &Term) -> Vec<&PostingList> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .replicas
-                .iter()
-                .map(|replica| scope.spawn(move || replica.postings(term)))
-                .collect();
-            handles.into_iter().filter_map(|h| h.join().expect("replica lookup panicked")).collect()
-        })
-    }
-
-    /// Borrows the posting list of every term starting with `prefix` in any
-    /// replica (one entry per matching term per replica; callers merge).
-    #[must_use]
-    pub fn prefix_posting_lists(&self, prefix: &str) -> Vec<&PostingList> {
-        self.replicas.iter().flat_map(|replica| replica.prefix_lists(prefix)).collect()
-    }
-
-    /// Like [`IndexSet::prefix_posting_lists`], with one dictionary/scan
-    /// thread per replica.
-    #[must_use]
-    pub fn prefix_posting_lists_parallel(&self, prefix: &str) -> Vec<&PostingList> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .replicas
-                .iter()
-                .map(|replica| scope.spawn(move || replica.prefix_lists(prefix)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("replica prefix lookup panicked"))
-                .collect()
-        })
     }
 
     /// Returns `true` when any replica contains `term`.
@@ -378,38 +295,6 @@ mod tests {
         assert!(set.contains_term(&t("only1")));
         assert!(!set.contains_term(&t("nowhere")));
         assert_eq!(set.file_count(), 2);
-    }
-
-    #[test]
-    fn index_set_term_postings_borrows_when_possible() {
-        let mut r0 = InMemoryIndex::new();
-        r0.insert_file(FileId(0), [t("shared"), t("only0")]);
-        let mut r1 = InMemoryIndex::new();
-        r1.insert_file(FileId(1), [t("shared"), t("only1")]);
-
-        // Single-replica set: always a direct borrow (or the static empty).
-        let lone = IndexSet::new(vec![r0.clone()]);
-        assert!(matches!(lone.term_postings(&t("only0"), false), Postings::Borrowed(_)));
-        let missing = lone.term_postings(&t("nowhere"), false);
-        assert!(matches!(missing, Postings::Borrowed(list) if list.is_empty()));
-
-        // Two replicas: terms in one replica stay borrowed, overlap merges.
-        let set = IndexSet::new(vec![r0, r1]);
-        for parallel in [false, true] {
-            assert!(matches!(set.term_postings(&t("only0"), parallel), Postings::Borrowed(_)));
-            let merged = set.term_postings(&t("shared"), parallel);
-            assert!(matches!(merged, Postings::Owned(_)));
-            assert_eq!(merged.list().doc_ids(), &[FileId(0), FileId(1)]);
-            assert_eq!(
-                set.prefix_term_postings("only", parallel).list().doc_ids(),
-                &[FileId(0), FileId(1)]
-            );
-            // Postings-returning lookups agree with the owned union.
-            assert_eq!(
-                set.term_postings(&t("shared"), parallel).list(),
-                &set.postings(&t("shared"))
-            );
-        }
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! [`PostingList`] is the *owned* form of a posting list; [`PostingView`] is
 //! the *borrowed* form — a sorted, duplicate-free `&[FileId]` slice that the
-//! query evaluator can intersect, union and subtract without cloning anything
-//! out of the index.  [`Postings`] bridges the two worlds for APIs that
-//! usually hand out borrows but sometimes have to materialise a merge
-//! (multi-shard lookups, prefix expansions): it is a three-way `Cow` whose
-//! `Shared` variant lets a batch memo hand the same merged list to many
-//! queries for the price of an `Arc` bump.
+//! query evaluator can intersect, union and subtract without cloning (the
+//! scratch accumulator of a query, and every merged list, are evaluated
+//! through it).  [`Postings`] is what lookups over sealed shards return: a
+//! zero-copy borrow of one shard's compressed list when one shard answers,
+//! a materialised merge otherwise (multi-shard lookups, prefix expansions),
+//! whose `Shared` variant lets a batch memo hand the same merged list to
+//! many queries for the price of an `Arc` bump.
 //!
 //! The intersection switches strategy on the size ratio of its inputs: near
 //! balanced lists walk both linearly; skewed pairs *gallop* — for each id of
@@ -240,20 +241,17 @@ fn linear_union(a: &[FileId], b: &[FileId], out: &mut Vec<FileId>) {
 }
 
 /// A posting list that is borrowed when possible and owned only when a merge
-/// had to materialise (the query layer's `Cow`, grown a compressed arm).
+/// had to materialise (the query layer's `Cow` over sealed shards).
 ///
-/// * `Borrowed` — a direct reference into an index: the zero-copy fast path
-///   for exact-term lookups against a single shard.
 /// * `Compressed` — a direct reference into a sealed shard's
-///   block-compressed postings; evaluated through cursors, decoded only when
-///   a result must materialise.
+///   block-compressed postings: the zero-copy fast path for lookups one
+///   shard answers; evaluated through cursors, decoded only when a result
+///   must materialise.
 /// * `Shared` — an `Arc`-counted merge result, used by batch memos so that
 ///   every query of a batch reuses one materialised list.
 /// * `Owned` — a freshly merged list nobody else holds yet.
 #[derive(Debug, Clone)]
 pub enum Postings<'a> {
-    /// A borrow straight out of an index structure.
-    Borrowed(&'a PostingList),
     /// A borrow of a sealed shard's block-compressed list.
     Compressed(&'a CompressedPostings),
     /// A merge result shared behind an `Arc` (cloning bumps the count).
@@ -263,27 +261,10 @@ pub enum Postings<'a> {
 }
 
 impl<'a> Postings<'a> {
-    /// An empty posting list that borrows a static empty instance (no
-    /// allocation).
+    /// An empty posting list (no allocation).
     #[must_use]
     pub fn empty() -> Postings<'static> {
-        Postings::Borrowed(PostingList::empty_ref())
-    }
-
-    /// The union of any number of borrowed lists, staying borrowed for zero
-    /// or one inputs and materialising a k-way merge otherwise.
-    #[must_use]
-    pub fn union_of(lists: Vec<&'a PostingList>) -> Postings<'a> {
-        match lists.as_slice() {
-            [] => Postings::empty(),
-            [only] => Postings::Borrowed(only),
-            _ => {
-                let views: Vec<PostingView<'_>> = lists.iter().map(|list| list.as_view()).collect();
-                let mut out = Vec::new();
-                union_into(&views, &mut out);
-                Postings::Owned(PostingList::from_sorted(out))
-            }
-        }
+        Postings::Owned(PostingList::new())
     }
 
     /// The union of any number of compressed lists, staying a zero-copy
@@ -314,7 +295,6 @@ impl<'a> Postings<'a> {
     #[must_use]
     pub fn list(&self) -> &PostingList {
         match self {
-            Postings::Borrowed(list) => list,
             Postings::Shared(list) => list,
             Postings::Owned(list) => list,
             Postings::Compressed(_) => {
@@ -369,7 +349,8 @@ impl<'a> Postings<'a> {
     }
 
     /// Writes every id into `out` (cleared first): the single-term result
-    /// path — a borrowed list copies, a compressed list decodes exactly once.
+    /// path — a materialised list copies, a compressed list decodes exactly
+    /// once.
     pub fn copy_into(&self, out: &mut Vec<FileId>) {
         match self {
             Postings::Compressed(cp) => cp.decode_into(out),
@@ -385,7 +366,6 @@ impl<'a> Postings<'a> {
     #[must_use]
     pub fn into_owned(self) -> PostingList {
         match self {
-            Postings::Borrowed(list) => list.clone(),
             Postings::Compressed(cp) => cp.to_list(),
             Postings::Shared(list) => Arc::try_unwrap(list).unwrap_or_else(|arc| (*arc).clone()),
             Postings::Owned(list) => list,
@@ -393,8 +373,8 @@ impl<'a> Postings<'a> {
     }
 
     /// Converts the `Owned` variant into `Shared` so later clones bump an
-    /// `Arc` instead of copying the ids; borrows (compressed or not) pass
-    /// through untouched.
+    /// `Arc` instead of copying the ids; compressed borrows pass through
+    /// untouched.
     #[must_use]
     pub fn into_shared(self) -> Postings<'a> {
         match self {
@@ -654,19 +634,24 @@ mod tests {
     #[test]
     fn postings_variants_share_one_api() {
         let owned = PostingList::from_ids(ids(&[1, 2, 3]));
-        let borrowed = Postings::Borrowed(&owned);
+        let compressed = CompressedPostings::from_list(&owned);
+        let borrowed = Postings::Compressed(&compressed);
         assert_eq!(borrowed.len(), 3);
         assert!(!borrowed.is_empty());
-        assert_eq!(borrowed.view().doc_ids(), owned.doc_ids());
+        assert!(borrowed.try_view().is_none(), "compressed lists have no slice");
         assert_eq!(borrowed.clone().into_owned(), owned);
+        let mut decoded = Vec::new();
+        borrowed.copy_into(&mut decoded);
+        assert_eq!(decoded, owned.doc_ids());
 
         let shared = Postings::Owned(owned.clone()).into_shared();
         assert!(matches!(shared, Postings::Shared(_)));
+        assert_eq!(shared.view().doc_ids(), owned.doc_ids());
         let again = shared.clone();
         assert_eq!(again.into_owned(), owned);
         assert_eq!(shared.into_owned(), owned);
-        // Borrowed postings pass through into_shared untouched.
-        assert!(matches!(Postings::Borrowed(&owned).into_shared(), Postings::Borrowed(_)));
+        // Compressed borrows pass through into_shared untouched.
+        assert!(matches!(borrowed.into_shared(), Postings::Compressed(_)));
 
         assert!(Postings::empty().is_empty());
         assert_eq!(Postings::empty().len(), 0);
@@ -674,11 +659,11 @@ mod tests {
 
     #[test]
     fn union_of_stays_borrowed_when_it_can() {
-        let a = PostingList::from_ids(ids(&[1, 3]));
-        let b = PostingList::from_ids(ids(&[2, 3]));
-        assert!(matches!(Postings::union_of(vec![]), Postings::Borrowed(_)));
-        assert!(matches!(Postings::union_of(vec![&a]), Postings::Borrowed(_)));
-        let merged = Postings::union_of(vec![&a, &b]);
+        let a = CompressedPostings::from_list(&PostingList::from_ids(ids(&[1, 3])));
+        let b = CompressedPostings::from_list(&PostingList::from_ids(ids(&[2, 3])));
+        assert!(Postings::union_of_compressed(vec![]).is_empty());
+        assert!(matches!(Postings::union_of_compressed(vec![&a]), Postings::Compressed(_)));
+        let merged = Postings::union_of_compressed(vec![&a, &b]);
         assert!(matches!(merged, Postings::Owned(_)));
         assert_eq!(merged.into_owned().doc_ids(), ids(&[1, 2, 3]).as_slice());
     }

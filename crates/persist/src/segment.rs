@@ -449,6 +449,51 @@ mod tests {
     }
 
     #[test]
+    fn equal_indices_encode_to_identical_segments() {
+        // The same postings inserted in a different order: the hash map
+        // iterates differently, but terms are written sorted, so the bytes
+        // (and therefore the checksum) are identical.
+        let (forward, docs) = sample();
+        let mut backward = InMemoryIndex::new();
+        for (id, _) in docs.iter().collect::<Vec<_>>().into_iter().rev() {
+            let terms: Vec<Term> = forward
+                .iter()
+                .filter(|(_, list)| list.doc_ids().contains(&id))
+                .map(|(term, _)| term.clone())
+                .collect();
+            backward.insert_file(id, terms);
+        }
+        assert_eq!(backward, forward);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        write_segment(&forward, &docs, &mut a).unwrap();
+        write_segment(&backward, &docs, &mut b).unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn unsupported_segment_version_is_rejected() {
+        let (index, docs) = sample();
+        let mut buf = Vec::new();
+        write_segment(&index, &docs, &mut buf).unwrap();
+        // The version is the payload's first varint (one byte for small
+        // values); rewrite it and re-seal the checksum so only the version
+        // is wrong.
+        assert_eq!(buf[12], SEGMENT_VERSION as u8);
+        buf[12] = 99;
+        let checksum = fnv1a_64(&buf[12..]);
+        buf[4..12].copy_from_slice(&checksum.to_le_bytes());
+        let err = read_segment(&buf[..]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PersistError::UnsupportedVersion { found: 99, expected: SEGMENT_VERSION }
+            ),
+            "{err:?}"
+        );
+        assert!(read_segment_sealed(&buf[..]).is_err());
+    }
+
+    #[test]
     fn empty_index_round_trips() {
         let mut buf = Vec::new();
         let info = write_segment(&InMemoryIndex::new(), &DocTable::new(), &mut buf).unwrap();

@@ -1,20 +1,19 @@
-//! Query evaluation over single and replicated indices.
+//! Query evaluation over sealed shards.
 //!
-//! [`SingleIndexSearcher`] serves the common case (Implementations 1 and 2
-//! end with one index).  [`MultiIndexSearcher`] serves Implementation 3: the
-//! replicas are never joined, so a query is evaluated against every replica
-//! and the partial results are combined — optionally with one thread per
-//! replica, which is the parallel-query idea the paper sketches as future
-//! work.
+//! [`SealedSearcher`] is the one boolean evaluator every front end uses: it
+//! searches a slice of [`SealedShard`]s (one shard for a joined index, one
+//! per replica for Implementation 3's un-joined replicas — the "search can
+//! work with multiple indices" future work the paper sketches) through
+//! their [`DocTable`].  [`evaluate`] is the one answer rule on top of it:
+//! BM25 top-k when the query is scorable, this boolean evaluator otherwise.
 //!
 //! # The cursor evaluation path
 //!
-//! [`SearchBackend::postings`] returns a [`Postings`] — borrowed straight
-//! out of the index whenever possible (a raw slice *or* a block-compressed
-//! list of a sealed shard), materialised only when several shards or
-//! prefix-matched terms had to be merged.  The default
-//! [`SearchBackend::search`] evaluates each `AND` group over
-//! [`PostingsCursor`]s:
+//! [`SearchBackend::postings`] returns a [`Postings`] — a zero-copy borrow of
+//! one shard's block-compressed list whenever one shard answers,
+//! materialised only when several shards or prefix-matched terms had to be
+//! merged.  The default [`SearchBackend::search`] evaluates each `AND` group
+//! over [`PostingsCursor`]s:
 //!
 //! 1. every required term's postings are fetched (a group with any unknown
 //!    term is dead and skipped outright);
@@ -29,18 +28,18 @@
 //! 5. everything writes into one pair of scratch buffers reused across every
 //!    operator of the query.
 //!
-//! A single-term group never copies an uncompressed posting list at all (the
-//! hits are read directly off the borrowed slice); a compressed single-term
-//! result is decoded exactly once, straight into the scratch buffer.
+//! A single-term group decodes its compressed list exactly once, straight
+//! into the scratch buffer (a merged list is read in place).
 
 use dsearch_index::{
-    difference_cursors_into, intersect_cursors_into, DocTable, FileId, InMemoryIndex, IndexSet,
-    PostingCursor, Postings, PostingsCursor, SliceCursor,
+    difference_cursors_into, intersect_cursors_into, DocTable, FileId, PostingCursor, Postings,
+    PostingsCursor, SealedShard, SliceCursor,
 };
 use dsearch_text::Term;
 
 use crate::query::{Query, QueryTerm};
 use crate::results::{Hit, SearchResults};
+use crate::topk::{search_topk, PruneStats};
 
 /// When the rarest required list of an `AND` group has at most this many ids,
 /// skip the generic leapfrog/scratch-swap machinery: copy the tiny list once
@@ -184,7 +183,7 @@ pub trait SearchBackend {
                 in_scratch = true;
             }
             if !in_scratch {
-                // Single required term, no operator ran.  A borrowed slice is
+                // Single required term, no operator ran.  A merged list is
                 // read in place; a compressed list decodes exactly once into
                 // the reused scratch buffer.
                 match lists[0].try_view() {
@@ -205,32 +204,52 @@ pub trait SearchBackend {
     }
 }
 
-/// Searches one joined index.
+/// The boolean evaluator over sealed shards plus the doc table naming their
+/// file ids.  Lookups union the shards' lists: a term one shard knows stays a
+/// zero-copy `Postings::Compressed` borrow, and only genuine cross-shard
+/// overlap merges (and therefore decodes).
 #[derive(Debug, Clone, Copy)]
-pub struct SingleIndexSearcher<'a> {
-    index: &'a InMemoryIndex,
+pub struct SealedSearcher<'a> {
+    shards: &'a [SealedShard],
     docs: &'a DocTable,
 }
 
-impl<'a> SingleIndexSearcher<'a> {
-    /// Creates a searcher over `index` with paths resolved through `docs`.
+impl<'a> SealedSearcher<'a> {
+    /// Creates a searcher over `shards` with paths resolved through `docs`.
     #[must_use]
-    pub fn new(index: &'a InMemoryIndex, docs: &'a DocTable) -> Self {
-        SingleIndexSearcher { index, docs }
+    pub fn new(shards: &'a [SealedShard], docs: &'a DocTable) -> Self {
+        SealedSearcher { shards, docs }
+    }
+
+    /// The posting list for one exact term across every shard (empty when
+    /// the term is unknown), borrowed for as long as the shards are.
+    #[must_use]
+    pub fn term_postings(&self, term: &Term) -> Postings<'a> {
+        Postings::union_of_compressed(
+            self.shards.iter().filter_map(|shard| shard.postings(term)).collect(),
+        )
+    }
+
+    /// The union of the posting lists of every term starting with `prefix`,
+    /// across every shard.  Each shard resolves the prefix to a contiguous
+    /// dictionary range; the union streams through block cursors, decoding
+    /// each block exactly once.
+    #[must_use]
+    pub fn prefix_postings(&self, prefix: &str) -> Postings<'a> {
+        Postings::union_of_compressed(
+            self.shards.iter().flat_map(|shard| shard.prefix_postings(prefix)).collect(),
+        )
     }
 }
 
-impl SearchBackend for SingleIndexSearcher<'_> {
+impl SearchBackend for SealedSearcher<'_> {
     fn postings(&self, term: &Term) -> Postings<'_> {
-        // The exact-term fast path: a borrow, never a clone.
-        match self.index.postings(term) {
-            Some(list) => Postings::Borrowed(list),
-            None => Postings::empty(),
-        }
+        self.term_postings(term)
     }
 
     fn prefix_postings(&self, prefix: &str) -> Postings<'_> {
-        Postings::union_of(self.index.prefix_lists(prefix))
+        // The inherent lookup above (inherent methods win over the trait's).
+        SealedSearcher::prefix_postings(self, prefix)
     }
 
     fn path_of(&self, id: FileId) -> Option<&str> {
@@ -238,62 +257,58 @@ impl SearchBackend for SingleIndexSearcher<'_> {
     }
 }
 
-/// Searches the un-joined replica set of Implementation 3.
-#[derive(Debug, Clone, Copy)]
-pub struct MultiIndexSearcher<'a> {
-    set: &'a IndexSet,
-    docs: &'a DocTable,
-    parallel: bool,
-}
-
-impl<'a> MultiIndexSearcher<'a> {
-    /// Creates a sequential multi-index searcher.
-    #[must_use]
-    pub fn new(set: &'a IndexSet, docs: &'a DocTable) -> Self {
-        MultiIndexSearcher { set, docs, parallel: false }
-    }
-
-    /// Makes term lookups fan out with one thread per replica.
-    ///
-    /// Worth it only for large replica counts or long queries; provided to
-    /// reproduce the paper's "search can work with multiple indices in
-    /// parallel" claim.  Applies to exact-term *and* prefix lookups.
-    #[must_use]
-    pub fn with_parallel_lookup(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
-    /// Number of replicas consulted per lookup.
-    #[must_use]
-    pub fn replica_count(&self) -> usize {
-        self.set.replica_count()
-    }
-}
-
-impl SearchBackend for MultiIndexSearcher<'_> {
-    fn postings(&self, term: &Term) -> Postings<'_> {
-        // A term living in at most one replica stays borrowed; only genuine
-        // cross-replica overlap pays for a k-way merge.
-        self.set.term_postings(term, self.parallel)
-    }
-
-    fn prefix_postings(&self, prefix: &str) -> Postings<'_> {
-        self.set.prefix_term_postings(prefix, self.parallel)
-    }
-
-    fn path_of(&self, id: FileId) -> Option<&str> {
-        self.docs.path(id)
-    }
+/// Answers `query` the way every `dsearch` front end does: BM25-scored top
+/// `limit` with block-max pruning when the query is scorable, otherwise the
+/// boolean evaluation of `boolean` (prefix terms and exclusions rank by
+/// matched terms, then path); either way truncated to `limit`.
+///
+/// `boolean` must search the same `shards` — [`SealedSearcher`] over them,
+/// or a memo in front of it such as a serving batch's posting cache — and its
+/// [`SearchBackend::should_cancel`] is the deadline both paths poll.  The
+/// pruning counters come back for ranked answers, `None` for boolean ones.
+#[must_use]
+pub fn evaluate(
+    shards: &[SealedShard],
+    docs: &DocTable,
+    query: &Query,
+    limit: usize,
+    boolean: &dyn SearchBackend,
+) -> (SearchResults, Option<PruneStats>) {
+    let (mut results, prune) =
+        match search_topk(shards, docs, query, limit, &|| boolean.should_cancel()) {
+            Some((results, prune)) => (results, Some(prune)),
+            None => (boolean.search(query), None),
+        };
+    results.truncate(limit);
+    (results, prune)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsearch_index::InMemoryIndex;
+    use proptest::prelude::*;
 
-    /// Builds one joined index and an equivalent 3-replica set over the same
-    /// tiny document collection.
-    fn fixture() -> (InMemoryIndex, IndexSet, DocTable) {
+    /// One document collection sealed two ways: as one joined shard and as
+    /// three un-joined replica shards.
+    struct Fixture {
+        joined: Vec<SealedShard>,
+        replicas: Vec<SealedShard>,
+        docs: DocTable,
+        index: InMemoryIndex,
+    }
+
+    impl Fixture {
+        fn single(&self) -> SealedSearcher<'_> {
+            SealedSearcher::new(&self.joined, &self.docs)
+        }
+
+        fn multi(&self) -> SealedSearcher<'_> {
+            SealedSearcher::new(&self.replicas, &self.docs)
+        }
+    }
+
+    fn fixture() -> Fixture {
         let docs_content: &[(&str, &[&str])] = &[
             ("a.txt", &["rust", "parallel", "index"]),
             ("b.txt", &["rust", "search"]),
@@ -301,23 +316,31 @@ mod tests {
             ("d.txt", &["rust", "java"]),
             ("e.txt", &["parallel", "search", "rust"]),
         ];
-        let mut table = DocTable::new();
-        let mut joined = InMemoryIndex::new();
+        let mut docs = DocTable::new();
+        let mut index = InMemoryIndex::new();
         let mut replicas: Vec<InMemoryIndex> = (0..3).map(|_| InMemoryIndex::new()).collect();
         for (i, (path, words)) in docs_content.iter().enumerate() {
-            let id = table.insert(*path);
+            let id = docs.insert(*path);
             let terms: Vec<Term> = words.iter().map(|w| Term::from(*w)).collect();
-            joined.insert_file(id, terms.clone());
+            index.insert_file(id, terms.clone());
             replicas[i % 3].insert_file(id, terms);
         }
-        (joined, IndexSet::new(replicas), table)
+        Fixture {
+            joined: vec![SealedShard::from_index(&index)],
+            replicas: replicas.iter().map(SealedShard::from_index).collect(),
+            docs,
+            index,
+        }
+    }
+
+    fn search(searcher: SealedSearcher<'_>, raw: &str) -> SearchResults {
+        searcher.search(&Query::parse(raw).unwrap())
     }
 
     #[test]
     fn single_term_query() {
-        let (index, _, docs) = fixture();
-        let searcher = SingleIndexSearcher::new(&index, &docs);
-        let results = searcher.search(&Query::parse("rust").unwrap());
+        let f = fixture();
+        let results = search(f.single(), "rust");
         assert_eq!(results.len(), 4);
         assert!(results.paths().contains(&"a.txt"));
         assert!(!results.paths().contains(&"c.txt"));
@@ -325,35 +348,30 @@ mod tests {
 
     #[test]
     fn exact_term_lookup_is_borrowed() {
-        let (index, set, docs) = fixture();
-        let single = SingleIndexSearcher::new(&index, &docs);
-        // Known term against one index: a borrow straight out of the map.
-        assert!(matches!(single.postings(&Term::from("rust")), Postings::Borrowed(_)));
-        // Unknown term: the static empty list, still no allocation.
-        let missing = single.postings(&Term::from("cobol"));
-        assert!(matches!(missing, Postings::Borrowed(list) if list.is_empty()));
-        // A term living in exactly one replica stays borrowed even through
-        // the multi-index searcher.
-        let multi = MultiIndexSearcher::new(&set, &docs);
-        assert!(matches!(
-            multi.postings(&Term::from("java")),
-            Postings::Borrowed(_) | Postings::Owned(_)
-        ));
+        let f = fixture();
+        // Known term in one shard: a borrow of its compressed list.
+        assert!(matches!(f.single().postings(&Term::from("rust")), Postings::Compressed(_)));
+        // Unknown term: empty, without allocating.
+        assert!(f.single().postings(&Term::from("cobol")).is_empty());
+        // A term one replica knows stays borrowed; a term several replicas
+        // know is merged.
+        let lone = SealedSearcher::new(&f.replicas[2..], &f.docs);
+        assert!(matches!(lone.term_postings(&Term::from("java")), Postings::Compressed(_)));
+        let merged = f.multi().term_postings(&Term::from("rust"));
+        assert!(matches!(merged, Postings::Owned(_)));
+        assert_eq!(merged.len(), 4);
     }
 
     #[test]
     fn and_query_intersects() {
-        let (index, _, docs) = fixture();
-        let searcher = SingleIndexSearcher::new(&index, &docs);
-        let results = searcher.search(&Query::parse("rust search").unwrap());
-        assert_eq!(results.paths(), vec!["b.txt", "e.txt"]);
+        let f = fixture();
+        assert_eq!(search(f.single(), "rust search").paths(), vec!["b.txt", "e.txt"]);
     }
 
     #[test]
     fn or_query_unions_and_ranks_by_matched_terms() {
-        let (index, _, docs) = fixture();
-        let searcher = SingleIndexSearcher::new(&index, &docs);
-        let results = searcher.search(&Query::parse("rust parallel OR java").unwrap());
+        let f = fixture();
+        let results = search(f.single(), "rust parallel OR java");
         // a.txt and e.txt match both terms of the first group (2 matched
         // terms); c.txt and d.txt match "java" (1 matched term).
         assert_eq!(results.len(), 4);
@@ -364,108 +382,110 @@ mod tests {
 
     #[test]
     fn unknown_terms_produce_no_hits() {
-        let (index, _, docs) = fixture();
-        let searcher = SingleIndexSearcher::new(&index, &docs);
-        let results = searcher.search(&Query::parse("nonexistent").unwrap());
-        assert!(results.is_empty());
-        let results = searcher.search(&Query::parse("rust nonexistent").unwrap());
-        assert!(results.is_empty());
+        let f = fixture();
+        assert!(search(f.single(), "nonexistent").is_empty());
+        assert!(search(f.single(), "rust nonexistent").is_empty());
     }
 
     #[test]
     fn multi_index_matches_single_index() {
-        let (index, set, docs) = fixture();
-        let single = SingleIndexSearcher::new(&index, &docs);
-        let multi = MultiIndexSearcher::new(&set, &docs);
-        let multi_par = MultiIndexSearcher::new(&set, &docs).with_parallel_lookup(true);
-        assert_eq!(multi.replica_count(), 3);
-
+        let f = fixture();
+        assert_eq!(f.replicas.len(), 3);
         for raw in [
             "rust",
             "rust search",
             "index OR java",
             "parallel rust OR java search",
             "rust java index OR search",
+            "ja* OR par*",
+            "rust NOT java",
         ] {
-            let q = Query::parse(raw).unwrap();
-            let expected = single.search(&q);
-            assert_eq!(multi.search(&q), expected, "sequential multi, query {raw:?}");
-            assert_eq!(multi_par.search(&q), expected, "parallel multi, query {raw:?}");
+            assert_eq!(search(f.multi(), raw), search(f.single(), raw), "query {raw:?}");
         }
     }
 
     #[test]
     fn not_terms_exclude_documents() {
-        let (index, set, docs) = fixture();
-        let searcher = SingleIndexSearcher::new(&index, &docs);
+        let f = fixture();
         // All rust documents except the ones also mentioning java.
-        let results = searcher.search(&Query::parse("rust NOT java").unwrap());
+        let results = search(f.single(), "rust NOT java");
         assert_eq!(results.paths(), vec!["a.txt", "b.txt", "e.txt"]);
-        // Dash syntax and multi-replica backend agree.
-        let multi = MultiIndexSearcher::new(&set, &docs);
-        assert_eq!(multi.search(&Query::parse("rust -java").unwrap()), results);
+        // Dash syntax and the multi-shard searcher agree.
+        assert_eq!(search(f.multi(), "rust -java"), results);
         // Excluding a term that never occurs changes nothing.
-        let unchanged = searcher.search(&Query::parse("rust NOT cobol").unwrap());
-        assert_eq!(unchanged.len(), 4);
+        assert_eq!(search(f.single(), "rust NOT cobol").len(), 4);
         // Subtracting down to nothing short-circuits later exclusions.
-        let none = searcher.search(&Query::parse("java NOT java NOT rust").unwrap());
-        assert!(none.is_empty());
+        assert!(search(f.single(), "java NOT java NOT rust").is_empty());
     }
 
     #[test]
     fn prefix_queries_expand_over_index_terms() {
-        let (index, set, docs) = fixture();
-        let searcher = SingleIndexSearcher::new(&index, &docs);
+        let f = fixture();
         // "ja*" matches "java"; "par*" matches "parallel".
-        let results = searcher.search(&Query::parse("ja*").unwrap());
-        assert_eq!(results.paths(), vec!["c.txt", "d.txt"]);
-        let results = searcher.search(&Query::parse("par* search").unwrap());
-        assert_eq!(results.paths(), vec!["e.txt"]);
+        assert_eq!(search(f.single(), "ja*").paths(), vec!["c.txt", "d.txt"]);
+        assert_eq!(search(f.single(), "par* search").paths(), vec!["e.txt"]);
         // Prefix matching nothing yields no hits.
-        assert!(searcher.search(&Query::parse("zz*").unwrap()).is_empty());
-        // Multi-index prefix expansion covers every replica, sequentially
-        // and with parallel lookup.
-        let multi = MultiIndexSearcher::new(&set, &docs);
-        let multi_par = MultiIndexSearcher::new(&set, &docs).with_parallel_lookup(true);
-        let expected = searcher.search(&Query::parse("ja*").unwrap());
-        assert_eq!(multi.search(&Query::parse("ja*").unwrap()), expected);
-        assert_eq!(multi_par.search(&Query::parse("ja*").unwrap()), expected);
+        assert!(search(f.single(), "zz*").is_empty());
+        // Multi-shard prefix expansion covers every shard.
+        assert_eq!(search(f.multi(), "ja*"), search(f.single(), "ja*"));
+        assert_eq!(search(f.multi(), "in*").len(), 2);
+    }
+
+    /// Naive reference: set operations over the unsealed index.
+    fn reference(index: &InMemoryIndex, query: &Query) -> Vec<(FileId, usize)> {
+        use std::collections::BTreeMap;
+        let ids = |term: &QueryTerm| -> Vec<FileId> {
+            let mut ids: Vec<FileId> = match term {
+                QueryTerm::Exact(t) => index.postings(t).map(|l| l.doc_ids().to_vec()),
+                QueryTerm::Prefix(p) => {
+                    Some(index.prefix_lists(p).iter().flat_map(|l| l.doc_ids().to_vec()).collect())
+                }
+            }
+            .unwrap_or_default();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        };
+        let mut best: BTreeMap<FileId, usize> = BTreeMap::new();
+        for group in query.groups() {
+            let mut required = group.required().iter();
+            let Some(first) = required.next() else { continue };
+            let mut acc = ids(first);
+            for term in required {
+                let other = ids(term);
+                acc.retain(|id| other.contains(id));
+            }
+            for term in group.excluded() {
+                acc.retain(|id| !index.postings(term).is_some_and(|l| l.doc_ids().contains(id)));
+            }
+            for id in acc {
+                let entry = best.entry(id).or_insert(0);
+                *entry = (*entry).max(group.len());
+            }
+        }
+        best.into_iter().collect()
     }
 
     #[test]
     fn sealed_dictionary_does_not_change_results() {
-        let (mut index, set, docs) = fixture();
-        let queries =
-            ["rust", "rust search", "ja* OR par*", "inde*", "rust NOT java", "s* r* OR p*"];
-        let unsealed: Vec<SearchResults> = {
-            let searcher = SingleIndexSearcher::new(&index, &docs);
-            queries.iter().map(|q| searcher.search(&Query::parse(q).unwrap())).collect()
-        };
-        index.build_dictionary();
-        let searcher = SingleIndexSearcher::new(&index, &docs);
-        for (raw, expected) in queries.iter().zip(unsealed) {
-            assert_eq!(searcher.search(&Query::parse(raw).unwrap()), expected, "query {raw:?}");
-        }
-        // Multi-index searchers agree too (replicas unsealed).
-        let multi = MultiIndexSearcher::new(&set, &docs);
-        for raw in queries {
-            assert_eq!(
-                multi.search(&Query::parse(raw).unwrap()),
-                searcher.search(&Query::parse(raw).unwrap()),
-                "query {raw:?}"
-            );
+        let f = fixture();
+        for raw in ["rust", "rust search", "ja* OR par*", "inde*", "rust NOT java", "s* r* OR p*"] {
+            let query = Query::parse(raw).unwrap();
+            let expected = reference(&f.index, &query);
+            assert_eq!(f.single().matched_ids(&query), expected, "single, query {raw:?}");
+            assert_eq!(f.multi().matched_ids(&query), expected, "multi, query {raw:?}");
         }
     }
 
     #[test]
     fn duplicate_document_across_or_groups_is_reported_once() {
-        let (index, _, docs) = fixture();
-        let searcher = SingleIndexSearcher::new(&index, &docs);
+        let f = fixture();
         // b.txt matches both groups.
-        let results = searcher.search(&Query::parse("rust OR search").unwrap());
-        let b_hits = results.paths().iter().filter(|p| **p == "b.txt").count();
-        assert_eq!(b_hits, 1);
-        assert_eq!(results.len(), 5);
+        for searcher in [f.single(), f.multi()] {
+            let results = search(searcher, "rust OR search");
+            assert_eq!(results.paths().iter().filter(|p| **p == "b.txt").count(), 1);
+            assert_eq!(results.len(), 5);
+        }
     }
 
     #[test]
@@ -489,16 +509,16 @@ mod tests {
             }
             index.insert_file(id, words);
         }
-        let searcher = SingleIndexSearcher::new(&index, &docs);
+        let shards = [SealedShard::from_index(&index)];
+        let searcher = SealedSearcher::new(&shards, &docs);
         // rare: docs 0, 181, 362 → 3 ids ≤ TINY_AND; rare∩even = 0, 362.
-        let results = searcher.search(&Query::parse("rare even common").unwrap());
+        let results = search(searcher, "rare even common");
         assert_eq!(results.paths(), vec!["doc0000.txt", "doc0362.txt"]);
         // A NOT after the tiny path still subtracts from the scratch result.
-        let results = searcher.search(&Query::parse("rare even NOT mid").unwrap());
-        assert_eq!(results.paths(), vec!["doc0362.txt"]);
+        assert_eq!(search(searcher, "rare even NOT mid").paths(), vec!["doc0362.txt"]);
         // mid (17 ids) ∩ even goes through the generic path; cross-check a
         // shared document against the tiny-path result above.
-        let generic = searcher.search(&Query::parse("mid even common").unwrap());
+        let generic = search(searcher, "mid even common");
         assert!(generic.paths().contains(&"doc0000.txt"));
         assert_eq!(generic.len(), 9, "mid ∩ even: d % 62 == 0");
     }
@@ -507,18 +527,18 @@ mod tests {
     fn cancellation_stops_evaluation_between_groups() {
         use std::cell::Cell;
         struct CancellingSearcher<'a> {
-            inner: SingleIndexSearcher<'a>,
+            inner: SealedSearcher<'a>,
             budget: Cell<usize>,
         }
         impl SearchBackend for CancellingSearcher<'_> {
             fn postings(&self, term: &Term) -> Postings<'_> {
-                self.inner.postings(term)
+                self.inner.term_postings(term)
             }
             fn prefix_postings(&self, prefix: &str) -> Postings<'_> {
                 self.inner.prefix_postings(prefix)
             }
             fn path_of(&self, id: FileId) -> Option<&str> {
-                self.inner.path_of(id)
+                self.inner.docs.path(id)
             }
             fn should_cancel(&self) -> bool {
                 let left = self.budget.get();
@@ -529,32 +549,137 @@ mod tests {
                 false
             }
         }
-        let (index, _, docs) = fixture();
+        let f = fixture();
         let query = Query::parse("rust OR java").unwrap();
         // Budget 0: cancelled before the first group, nothing evaluates.
-        let searcher = CancellingSearcher {
-            inner: SingleIndexSearcher::new(&index, &docs),
-            budget: Cell::new(0),
-        };
+        let searcher = CancellingSearcher { inner: f.single(), budget: Cell::new(0) };
         assert!(searcher.search(&query).is_empty());
         // Budget 1: the first OR group evaluates, the second is cut off —
         // the caller sees a strict subset it knows to discard.
-        let searcher = CancellingSearcher {
-            inner: SingleIndexSearcher::new(&index, &docs),
-            budget: Cell::new(1),
-        };
-        let partial = searcher.search(&query);
-        assert_eq!(partial.len(), 4, "only the rust group ran");
+        let searcher = CancellingSearcher { inner: f.single(), budget: Cell::new(1) };
+        assert_eq!(searcher.search(&query).len(), 4, "only the rust group ran");
         // A backend that never cancels is unaffected.
-        assert_eq!(SingleIndexSearcher::new(&index, &docs).search(&query).len(), 5);
+        assert_eq!(f.single().search(&query).len(), 5);
+        // The ranked path polls the same checkpoint: a cancelled evaluation
+        // returns nothing for the caller to serve.
+        let searcher = CancellingSearcher { inner: f.single(), budget: Cell::new(0) };
+        let (results, prune) = evaluate(&f.joined, &f.docs, &query, 10, &searcher);
+        assert!(results.is_empty());
+        assert!(prune.is_some());
     }
 
     #[test]
     fn path_of_unknown_id_is_placeholder() {
-        let (index, _, _) = fixture();
+        let f = fixture();
         let empty_docs = DocTable::new();
-        let searcher = SingleIndexSearcher::new(&index, &empty_docs);
-        let results = searcher.search(&Query::parse("rust").unwrap());
+        let searcher = SealedSearcher::new(&f.joined, &empty_docs);
+        // Boolean and ranked evaluation name unknown ids the same way.
+        let results = search(searcher, "rust");
         assert!(results.hits().iter().all(|h| &*h.path == "<unknown>"));
+        let query = Query::parse("rust").unwrap();
+        let (ranked, _) = evaluate(&f.joined, &empty_docs, &query, 10, &searcher);
+        assert!(ranked.hits().iter().all(|h| &*h.path == "<unknown>"));
+    }
+
+    #[test]
+    fn evaluate_ranks_scorable_queries_and_falls_back_for_prefix_and_not() {
+        let mut docs = DocTable::new();
+        let mut index = InMemoryIndex::new();
+        for (path, words) in [
+            ("a.txt", &[("rust", 3u32), ("search", 1)][..]),
+            ("b.txt", &[("rust", 1), ("search", 4)]),
+            ("c.txt", &[("rust", 1), ("parallel", 1)]),
+        ] {
+            let id = docs.insert(path);
+            index.insert_file_counted(id, words.iter().map(|&(w, tf)| (Term::from(w), tf)));
+        }
+        let shards = [SealedShard::from_index(&index)];
+        let searcher = SealedSearcher::new(&shards, &docs);
+        let answer = |raw: &str, limit: usize| {
+            evaluate(&shards, &docs, &Query::parse(raw).unwrap(), limit, &searcher)
+        };
+        // Scorable: BM25 order, scores on every hit, pruning counters back.
+        let (ranked, prune) = answer("rust OR search", 20);
+        assert_eq!(ranked.paths(), vec!["b.txt", "a.txt", "c.txt"]);
+        assert!(ranked.hits().iter().all(|h| h.score > 0.0));
+        assert!(prune.is_some());
+        // The limit bounds the heap: top-2 is the prefix of the full order.
+        let (top2, _) = answer("rust OR search", 2);
+        assert_eq!(top2.paths(), vec!["b.txt", "a.txt"]);
+        // Prefix and NOT: the boolean evaluator, matched terms then path.
+        let (prefix, prune) = answer("ru* OR search", 20);
+        assert!(prune.is_none());
+        assert_eq!(prefix.paths(), vec!["a.txt", "b.txt", "c.txt"]);
+        assert!(prefix.hits().iter().all(|h| h.score == 0.0));
+        let (not, _) = answer("rust NOT parallel", 1);
+        assert_eq!(not.paths(), vec!["a.txt"]);
+    }
+
+    /// Query and corpus vocabulary: the later words are rare (see the
+    /// skewed pick below), so single-posting terms and lists confined to
+    /// one shard occur often.
+    const WORDS: &[&str] = &["a", "b", "ab", "ba", "c", "cd", "d", "abc", "e", "ef", "f", "bad"];
+
+    proptest! {
+        /// For random corpora split across 1–3 shards and random queries of
+        /// every shape, the sealed evaluator matches the naive reference over
+        /// the joined index, and the front-end answer rule returns exactly
+        /// that match set when unlimited (ranked or not).
+        #[test]
+        fn sealed_searcher_matches_reference_on_random_shardings(
+            corpus in proptest::collection::vec(
+                proptest::collection::vec((0usize..12, 0usize..12), 1..6),
+                1..24,
+            ),
+            shard_count in 1usize..4,
+            groups in proptest::collection::vec(
+                proptest::collection::vec((0usize..12, 0usize..3), 1..4),
+                1..4,
+            ),
+        ) {
+            let mut docs = DocTable::new();
+            let mut joined = InMemoryIndex::new();
+            let mut parts: Vec<InMemoryIndex> =
+                (0..shard_count).map(|_| InMemoryIndex::new()).collect();
+            for (i, words) in corpus.iter().enumerate() {
+                let id = docs.insert(format!("doc{i:02}.txt"));
+                let mut terms: Vec<Term> =
+                    words.iter().map(|&(x, y)| Term::from(WORDS[x.min(y)])).collect();
+                terms.sort();
+                terms.dedup();
+                joined.insert_file(id, terms.clone());
+                parts[i % shard_count].insert_file(id, terms);
+            }
+            let shards: Vec<SealedShard> = parts.iter().map(SealedShard::from_index).collect();
+            let searcher = SealedSearcher::new(&shards, &docs);
+
+            // Kind 0: exact term, 1: prefix of its first letter, 2: NOT (never
+            // a group's first term, which must be required).
+            let raw = groups
+                .iter()
+                .map(|group| {
+                    group
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(w, kind))| match kind {
+                            1 => format!("{}*", &WORDS[w][..1]),
+                            2 if i > 0 => format!("NOT {}", WORDS[w]),
+                            _ => WORDS[w].to_owned(),
+                        })
+                        .collect::<Vec<_>>()
+                        .join(" ")
+                })
+                .collect::<Vec<_>>()
+                .join(" OR ");
+            let query = Query::parse(&raw).unwrap();
+            let expected = reference(&joined, &query);
+            prop_assert_eq!(searcher.matched_ids(&query), expected.clone(), "query {:?}", raw);
+
+            let (answer, _) = evaluate(&shards, &docs, &query, usize::MAX, &searcher);
+            let mut answered: Vec<FileId> = answer.file_ids();
+            answered.sort_unstable();
+            let matched: Vec<FileId> = expected.iter().map(|&(id, _)| id).collect();
+            prop_assert_eq!(answered, matched, "query {:?}", raw);
+        }
     }
 }

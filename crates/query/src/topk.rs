@@ -15,8 +15,9 @@
 //!   even the block bounds cannot reach θ, every aligned cursor seeks past
 //!   the shortest of its current blocks — whole blocks are never decoded.
 //! * **Exhaustive scoring** for everything else scorable (multi-term `AND`
-//!   groups): the boolean evaluator enumerates matching ids, then one
-//!   forward-seeking cursor per distinct term scores each match.
+//!   groups): the boolean evaluator ([`SealedSearcher`] over the one shard)
+//!   enumerates matching ids, then one forward-seeking cursor per distinct
+//!   term scores each match.
 //!
 //! Both paths accumulate per-term contributions in ascending query-term
 //! order and sum them in `f64` before one final rounding to `f32`, so a
@@ -28,8 +29,8 @@
 //!
 //! Queries with prefix terms or exclusions are not scorable (a prefix is
 //! many terms of wildly different rarity; `NOT` contributes no score) —
-//! [`search_topk`] returns `None` and the caller falls back to the unranked
-//! boolean path.
+//! [`search_topk`] returns `None`, and [`crate::evaluate`] falls back to the
+//! unranked boolean path.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -37,13 +38,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsearch_index::{
-    bm25_score, BlockCursor, DocTable, FileId, PostingCursor, Postings, SealedShard, BM25_K1,
+    bm25_score, BlockCursor, DocTable, FileId, PostingCursor, SealedShard, BM25_K1,
 };
 use dsearch_text::Term;
 
 use crate::query::Query;
 use crate::results::{Hit, SearchResults};
-use crate::search::SearchBackend;
+use crate::search::{SealedSearcher, SearchBackend};
 
 /// Comparison slack for the floating-point pruning threshold.  Upper bounds
 /// and scores are compared in `f64`; the slack absorbs the quantization of
@@ -380,31 +381,6 @@ fn shard_wand<'a>(
     }
 }
 
-/// Boolean-match adapter over one sealed shard, used by the exhaustive
-/// scored path to enumerate matching ids without materialising paths.
-struct ShardBackend<'a> {
-    shard: &'a SealedShard,
-}
-
-impl SearchBackend for ShardBackend<'_> {
-    fn postings(&self, term: &Term) -> Postings<'_> {
-        match self.shard.postings(term) {
-            Some(list) => Postings::Compressed(list),
-            None => Postings::empty(),
-        }
-    }
-
-    fn prefix_postings(&self, prefix: &str) -> Postings<'_> {
-        // Unreachable through `search_topk` (prefix queries are not
-        // scorable), implemented for trait completeness.
-        Postings::union_of_compressed(self.shard.prefix_postings(prefix).iter().collect())
-    }
-
-    fn path_of(&self, _id: FileId) -> Option<&str> {
-        None
-    }
-}
-
 /// Exhaustive scored evaluation of one shard: boolean-match the query, then
 /// score every matching document with one forward-seeking cursor per term.
 fn shard_scored<'a>(
@@ -418,7 +394,7 @@ fn shard_scored<'a>(
 ) {
     // Matching ids come back ascending, so each term cursor only ever moves
     // forward across the whole scoring sweep.
-    let matched = ShardBackend { shard }.matched_ids(query);
+    let matched = SealedSearcher::new(std::slice::from_ref(shard), docs).matched_ids(query);
     let resolve_start = Instant::now();
     let mut cursors = scoring_cursors(shard, terms);
     stats.lookup += resolve_start.elapsed();

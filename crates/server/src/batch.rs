@@ -30,7 +30,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dsearch_index::{FileId, Postings};
-use dsearch_query::SearchBackend;
+use dsearch_query::{SealedSearcher, SearchBackend};
 use dsearch_text::Term;
 
 use crate::engine::ServerError;
@@ -391,7 +391,7 @@ fn expected_arrivals(arrivals: &VecDeque<Instant>, now: Instant, window: Duratio
 /// duration of one batch, so it needs no locking and never holds postings
 /// beyond the batch.
 pub struct BatchSearcher<'a> {
-    snapshot: &'a IndexSnapshot,
+    sealed: SealedSearcher<'a>,
     terms: RefCell<HashMap<Term, Postings<'a>>>,
     prefixes: RefCell<HashMap<String, Postings<'a>>>,
     memo_hits: Cell<u64>,
@@ -410,7 +410,7 @@ impl<'a> BatchSearcher<'a> {
     #[must_use]
     pub fn new(snapshot: &'a IndexSnapshot) -> Self {
         BatchSearcher {
-            snapshot,
+            sealed: snapshot.searcher(),
             terms: RefCell::new(HashMap::new()),
             prefixes: RefCell::new(HashMap::new()),
             memo_hits: Cell::new(0),
@@ -463,7 +463,7 @@ impl<'a> SearchBackend for BatchSearcher<'a> {
         let started = Instant::now();
         // `into_shared` turns a merged (owned) list into an `Arc` so every
         // later memo hit shares it; borrowed lookups stay plain borrows.
-        let postings: Postings<'a> = self.snapshot.term_postings(term).into_shared();
+        let postings: Postings<'a> = self.sealed.term_postings(term).into_shared();
         self.lookup_time.set(self.lookup_time.get() + started.elapsed());
         self.terms.borrow_mut().insert(term.clone(), postings.clone());
         postings
@@ -476,14 +476,14 @@ impl<'a> SearchBackend for BatchSearcher<'a> {
         }
         self.memo_misses.set(self.memo_misses.get() + 1);
         let started = Instant::now();
-        let postings: Postings<'a> = self.snapshot.prefix_postings(prefix).into_shared();
+        let postings: Postings<'a> = self.sealed.prefix_postings(prefix).into_shared();
         self.lookup_time.set(self.lookup_time.get() + started.elapsed());
         self.prefixes.borrow_mut().insert(prefix.to_owned(), postings.clone());
         postings
     }
 
     fn path_of(&self, id: FileId) -> Option<&str> {
-        self.snapshot.path_of(id)
+        self.sealed.path_of(id)
     }
 
     fn should_cancel(&self) -> bool {

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsearch_obs::{QueryTrace, Stage};
-use dsearch_query::{ParseError, Query, SearchBackend, SearchResults};
+use dsearch_query::{ParseError, Query, SearchResults};
 
 use crate::batch::{BatchConfig, BatchSearcher, QueueGovernor, QueueJob};
 use crate::cache::{AdmissionPolicy, CacheCounters, CacheKey, QueryCache};
@@ -378,23 +378,15 @@ impl QueryEngine {
                         live.iter().filter_map(|&i| deadlines[i]).max()
                     };
                     searcher.set_deadline(group_deadline);
-                    // Ranked retrieval first: scorable queries evaluate as
-                    // BM25 top-k with block-max pruning, bounded at the
-                    // result limit the response would be truncated to anyway.
-                    // Unscorable shapes (prefix terms, exclusions) fall back
-                    // to the exhaustive boolean path.  Both poll the same
-                    // deadline, so cancellation semantics are identical.
-                    let ranked = snapshot.search_topk(&query, self.config.result_limit, &|| {
-                        searcher.should_cancel()
-                    });
-                    let mut results = match ranked {
-                        Some((results, prune)) => {
-                            ranked_lookups += prune.lookup;
-                            self.stats.record_prune(prune);
-                            results
-                        }
-                        None => searcher.search(&query),
-                    };
+                    // The shared answer rule (ranked top-k, boolean fallback
+                    // through this batch's posting memo, truncated to the
+                    // result limit); both paths poll the memo's deadline.
+                    let (results, prune) =
+                        snapshot.evaluate(&query, self.config.result_limit, &searcher);
+                    if let Some(prune) = prune {
+                        ranked_lookups += prune.lookup;
+                        self.stats.record_prune(prune);
+                    }
                     searcher.set_deadline(None);
                     if searcher.take_cancelled() {
                         // The evaluation was stopped mid-flight: the partial
@@ -405,7 +397,6 @@ impl QueryEngine {
                         }
                         continue;
                     }
-                    results.truncate(self.config.result_limit);
                     let results = Arc::new(results);
                     self.cache.insert(key, Arc::clone(&results));
                     (results, false)
@@ -687,6 +678,38 @@ mod tests {
         assert_eq!(second.results.paths(), vec!["b.txt"]);
         assert_eq!(engine.cache_counters().hits, 1);
         assert_eq!(engine.stats().query_count(), 2);
+    }
+
+    #[test]
+    fn batches_answer_like_the_snapshot_evaluator() {
+        // One batch over a 2-shard snapshot, every query shape, the batch
+        // memo as the boolean backend: each answer equals the plain
+        // snapshot evaluation at the same limit (what `dsearch search`
+        // prints), scores and all.
+        let mut docs = DocTable::new();
+        let mut shards = vec![InMemoryIndex::new(), InMemoryIndex::new()];
+        for (i, (path, words)) in [
+            ("a.txt", &[("rust", 3u32), ("search", 1)][..]),
+            ("b.txt", &[("rust", 1), ("search", 4)]),
+            ("c.txt", &[("rust", 1), ("parallel", 2)]),
+            ("d.txt", &[("search", 1), ("parallel", 1)]),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let id = docs.insert(path);
+            shards[i % 2].insert_file_counted(id, words.iter().map(|&(w, tf)| (Term::from(w), tf)));
+        }
+        let snapshot = IndexSnapshot::from_shards(shards.clone(), docs.clone(), 1);
+        let config = EngineConfig { result_limit: 3, ..EngineConfig::default() };
+        let engine = QueryEngine::new(IndexSnapshot::from_shards(shards, docs, 1), config).unwrap();
+        let raws = ["rust", "rust OR search", "rust search", "par* OR rust", "search NOT rust"];
+        let answers = engine.execute_batch(&raws);
+        for (raw, answer) in raws.iter().zip(answers) {
+            let query = Query::parse(raw).unwrap();
+            let (expected, _) = snapshot.evaluate(&query, 3, &snapshot.searcher());
+            assert_eq!(*answer.unwrap().results, expected, "query {raw:?}");
+        }
     }
 
     #[test]

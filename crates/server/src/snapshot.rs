@@ -25,9 +25,9 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use dsearch_index::{CompressedPostings, DocTable, FileId, InMemoryIndex, Postings, SealedShard};
+use dsearch_index::{DocTable, InMemoryIndex, SealedShard};
 use dsearch_persist::{IndexStore, PersistError};
-use dsearch_query::{PruneStats, Query, SearchBackend, SearchResults};
+use dsearch_query::{PruneStats, Query, SealedSearcher, SearchBackend, SearchResults};
 
 /// One immutable in-memory image of an index store.
 #[derive(Debug)]
@@ -35,8 +35,6 @@ pub struct IndexSnapshot {
     generation: u64,
     shards: Vec<SealedShard>,
     docs: DocTable,
-    /// Evaluate term lookups with one thread per shard.
-    parallel_lookup: bool,
 }
 
 impl IndexSnapshot {
@@ -51,7 +49,7 @@ impl IndexSnapshot {
         let mut shards = Vec::with_capacity(store.segment_count());
         for (shard, segment_docs) in store.load_all_sealed()? {
             // Segments written from one run share a doc table; keep the most
-            // complete copy (mirrors the CLI's multi-segment search).
+            // complete copy.
             if segment_docs.len() > docs.len() {
                 docs = segment_docs;
             }
@@ -80,15 +78,7 @@ impl IndexSnapshot {
     /// path).
     #[must_use]
     pub fn from_sealed(shards: Vec<SealedShard>, docs: DocTable, generation: u64) -> Self {
-        IndexSnapshot { generation, shards, docs, parallel_lookup: false }
-    }
-
-    /// Makes term lookups fan out with one thread per shard (worth it only
-    /// for large shard counts; defaults to off).
-    #[must_use]
-    pub fn with_parallel_lookup(mut self, parallel: bool) -> Self {
-        self.parallel_lookup = parallel;
-        self
+        IndexSnapshot { generation, shards, docs }
     }
 
     /// The generation number this image was published under.
@@ -147,75 +137,35 @@ impl IndexSnapshot {
         })
     }
 
-    /// The compressed posting lists for `term`, one per shard that knows it.
-    fn shard_postings(&self, term: &dsearch_text::Term) -> Vec<&CompressedPostings> {
-        if self.parallel_lookup && self.shards.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || shard.postings(term)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .filter_map(|h| h.join().expect("shard lookup panicked"))
-                    .collect()
-            })
-        } else {
-            self.shards.iter().filter_map(|shard| shard.postings(term)).collect()
-        }
-    }
-
-    /// The posting list for one exact term across every shard (empty when
-    /// the term is unknown).  A term living in exactly one shard stays a
-    /// zero-copy `Postings::Compressed` borrow; only genuine cross-shard
-    /// overlap merges (and therefore decodes).  This is the raw lookup the
-    /// per-batch posting memo builds on; it honours
-    /// [`with_parallel_lookup`](IndexSnapshot::with_parallel_lookup) the same
-    /// way [`search`](IndexSnapshot::search) does.
+    /// The boolean evaluator over this image's sealed shards (also the raw
+    /// posting lookups the per-batch memo builds on).
     #[must_use]
-    pub fn term_postings(&self, term: &dsearch_text::Term) -> Postings<'_> {
-        Postings::union_of_compressed(self.shard_postings(term))
+    pub fn searcher(&self) -> SealedSearcher<'_> {
+        SealedSearcher::new(&self.shards, &self.docs)
     }
 
-    /// The union of the posting lists of every indexed term starting with
-    /// `prefix`, merged across shards (the `word*` lookup).  Each shard
-    /// resolves the prefix to a contiguous dictionary range; the union
-    /// streams through block cursors, decoding each block exactly once.
-    /// Honours [`with_parallel_lookup`](IndexSnapshot::with_parallel_lookup)
-    /// exactly like [`term_postings`](IndexSnapshot::term_postings).
-    #[must_use]
-    pub fn prefix_postings(&self, prefix: &str) -> Postings<'_> {
-        let lists: Vec<&CompressedPostings> = if self.parallel_lookup && self.shards.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || shard.prefix_postings(prefix)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("shard prefix lookup panicked"))
-                    .collect()
-            })
-        } else {
-            self.shards.iter().flat_map(|shard| shard.prefix_postings(prefix)).collect()
-        };
-        Postings::union_of_compressed(lists)
-    }
-
-    /// The path registered for a file id in this snapshot's doc table.
-    #[must_use]
-    pub fn path_of(&self, id: FileId) -> Option<&str> {
-        self.docs.path(id)
-    }
-
-    /// Evaluates `query` against this image through the sealed shards'
-    /// skip-aware cursors (single- and multi-shard snapshots share the path;
-    /// per-shard lookups merge before the boolean operators run).
+    /// Evaluates `query` as a boolean query against this image through the
+    /// sealed shards' skip-aware cursors (single- and multi-shard snapshots
+    /// share the path; per-shard lookups merge before the boolean operators
+    /// run).  Hits are unscored; [`evaluate`](Self::evaluate) is how front
+    /// ends answer.
     #[must_use]
     pub fn search(&self, query: &Query) -> SearchResults {
-        SnapshotSearcher { snapshot: self }.search(query)
+        self.searcher().search(query)
+    }
+
+    /// Answers `query` the way `serve` and `dsearch search` both do
+    /// ([`dsearch_query::evaluate`]): BM25 top-`limit` when scorable, else
+    /// the boolean evaluation of `boolean`, truncated to `limit`.  `boolean`
+    /// is [`searcher`](Self::searcher) or a memo over this same image.
+    #[must_use]
+    pub fn evaluate(
+        &self,
+        query: &Query,
+        limit: usize,
+        boolean: &dyn SearchBackend,
+    ) -> (SearchResults, Option<PruneStats>) {
+        dsearch_query::evaluate(&self.shards, &self.docs, query, limit, boolean)
     }
 
     /// Evaluates `query` as ranked retrieval: BM25-scored top-`k` with
@@ -232,27 +182,6 @@ impl IndexSnapshot {
         should_cancel: &dyn Fn() -> bool,
     ) -> Option<(SearchResults, PruneStats)> {
         dsearch_query::search_topk(&self.shards, &self.docs, query, k, should_cancel)
-    }
-}
-
-/// [`SearchBackend`] over a snapshot's sealed shards: lookups stay
-/// compressed borrows whenever one shard answers, and the generic
-/// cursor-based evaluator does the rest.
-struct SnapshotSearcher<'a> {
-    snapshot: &'a IndexSnapshot,
-}
-
-impl SearchBackend for SnapshotSearcher<'_> {
-    fn postings(&self, term: &dsearch_text::Term) -> Postings<'_> {
-        self.snapshot.term_postings(term)
-    }
-
-    fn prefix_postings(&self, prefix: &str) -> Postings<'_> {
-        self.snapshot.prefix_postings(prefix)
-    }
-
-    fn path_of(&self, id: FileId) -> Option<&str> {
-        self.snapshot.path_of(id)
     }
 }
 
@@ -327,6 +256,7 @@ impl SnapshotCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsearch_index::Postings;
     use dsearch_text::Term;
 
     fn snapshot_with(words: &[(&str, &[&str])], generation: u64) -> IndexSnapshot {
@@ -360,54 +290,20 @@ mod tests {
             &[("a.txt", &["rust", "index"]), ("b.txt", &["rust"]), ("c.txt", &["java"])],
             1,
         );
-        assert_eq!(snapshot.term_postings(&Term::from("rust")).len(), 2);
-        assert!(snapshot.term_postings(&Term::from("cobol")).is_empty());
-        assert_eq!(snapshot.prefix_postings("ja").len(), 1);
-        assert_eq!(snapshot.prefix_postings("").len(), 3);
-        let id = snapshot.term_postings(&Term::from("java")).into_owned().iter().next().unwrap();
-        assert_eq!(snapshot.path_of(id), Some("c.txt"));
+        let lookup = snapshot.searcher();
+        assert_eq!(lookup.term_postings(&Term::from("rust")).len(), 2);
+        assert!(lookup.term_postings(&Term::from("cobol")).is_empty());
+        assert_eq!(lookup.prefix_postings("ja").len(), 1);
+        assert_eq!(lookup.prefix_postings("").len(), 3);
+        let id = lookup.term_postings(&Term::from("java")).into_owned().iter().next().unwrap();
+        assert_eq!(snapshot.docs().path(id), Some("c.txt"));
         // Single-shard lookups stay zero-copy compressed borrows — no merge,
         // no decode.
-        assert!(matches!(snapshot.term_postings(&Term::from("rust")), Postings::Compressed(_)));
-        assert!(matches!(snapshot.prefix_postings("ja"), Postings::Compressed(_)));
+        assert!(matches!(lookup.term_postings(&Term::from("rust")), Postings::Compressed(_)));
+        assert!(matches!(lookup.prefix_postings("ja"), Postings::Compressed(_)));
         // Sealed snapshots report their compression win.
         assert!(snapshot.posting_count() > 0);
         assert!(snapshot.posting_bytes() < snapshot.uncompressed_posting_bytes());
-    }
-
-    #[test]
-    fn parallel_lookup_is_honoured_consistently_for_terms_and_prefixes() {
-        // Regression: prefix_postings used to ignore the parallel_lookup
-        // setting that term_postings honoured.  Both lookups must return the
-        // same answers whichever engine runs them.
-        let mut docs = DocTable::new();
-        let a = docs.insert("a.txt");
-        let b = docs.insert("b.txt");
-        let c = docs.insert("c.txt");
-        let mut shard0 = InMemoryIndex::new();
-        shard0.insert_file(a, [Term::from("index"), Term::from("rust")]);
-        let mut shard1 = InMemoryIndex::new();
-        shard1.insert_file(b, [Term::from("indexes"), Term::from("rust")]);
-        let mut shard2 = InMemoryIndex::new();
-        shard2.insert_file(c, [Term::from("into")]);
-
-        let shards = vec![shard0, shard1, shard2];
-        let sequential = IndexSnapshot::from_shards(shards.clone(), docs.clone(), 1);
-        let parallel = IndexSnapshot::from_shards(shards, docs, 1).with_parallel_lookup(true);
-        for term in ["rust", "index", "into", "missing"] {
-            assert_eq!(
-                sequential.term_postings(&Term::from(term)).into_owned(),
-                parallel.term_postings(&Term::from(term)).into_owned(),
-                "term {term:?}"
-            );
-        }
-        for prefix in ["in", "inde", "rust", "zz", ""] {
-            assert_eq!(
-                sequential.prefix_postings(prefix).into_owned(),
-                parallel.prefix_postings(prefix).into_owned(),
-                "prefix {prefix:?}"
-            );
-        }
     }
 
     #[test]
@@ -420,16 +316,17 @@ mod tests {
         let mut shard1 = InMemoryIndex::new();
         shard1.insert_file(b, [Term::from("rust"), Term::from("search")]);
 
-        for parallel in [false, true] {
-            let snapshot =
-                IndexSnapshot::from_shards(vec![shard0.clone(), shard1.clone()], docs.clone(), 3)
-                    .with_parallel_lookup(parallel);
-            assert_eq!(snapshot.shard_count(), 2);
-            let results = snapshot.search(&Query::parse("rust").unwrap());
-            assert_eq!(results.paths(), vec!["a.txt", "b.txt"], "parallel={parallel}");
-            let results = snapshot.search(&Query::parse("rust search").unwrap());
-            assert_eq!(results.paths(), vec!["b.txt"], "parallel={parallel}");
-        }
+        let snapshot = IndexSnapshot::from_shards(vec![shard0, shard1], docs, 3);
+        assert_eq!(snapshot.shard_count(), 2);
+        let results = snapshot.search(&Query::parse("rust").unwrap());
+        assert_eq!(results.paths(), vec!["a.txt", "b.txt"]);
+        let results = snapshot.search(&Query::parse("rust search").unwrap());
+        assert_eq!(results.paths(), vec!["b.txt"]);
+        // Cross-shard lookups merge; a term one shard knows stays borrowed.
+        let lookup = snapshot.searcher();
+        assert!(matches!(lookup.term_postings(&Term::from("rust")), Postings::Owned(_)));
+        assert!(matches!(lookup.term_postings(&Term::from("search")), Postings::Compressed(_)));
+        assert_eq!(lookup.prefix_postings("r").len(), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Persist → serve roundtrip: an index built by the real pipeline, written
 //! with `write_segment`, opened through `IndexStore` and loaded into an
-//! `IndexSnapshot` must answer every query exactly like the in-memory
-//! `SingleIndexSearcher` over the same corpus.
+//! `IndexSnapshot` must answer every query exactly like a snapshot sealed
+//! straight from the in-memory index over the same corpus.
 
 use std::fs;
 use std::path::PathBuf;
@@ -11,7 +11,7 @@ use dsearch_corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch_index::{DocTable, InMemoryIndex};
 use dsearch_persist::segment::{read_segment, write_segment};
 use dsearch_persist::IndexStore;
-use dsearch_query::{Query, SearchBackend, SingleIndexSearcher};
+use dsearch_query::Query;
 use dsearch_server::IndexSnapshot;
 use dsearch_text::Term;
 use dsearch_vfs::VPath;
@@ -63,7 +63,7 @@ fn snapshot_from_store_matches_in_memory_searcher() {
 
     // Derive queries from the indexed terms themselves so the comparison
     // covers hits, multi-term intersections, exclusions and prefixes.
-    let reference = SingleIndexSearcher::new(&index, &docs);
+    let from_memory = IndexSnapshot::from_index(index.clone(), docs, 1);
     let mut terms: Vec<String> = index.iter().map(|(t, _)| t.as_str().to_owned()).collect();
     terms.sort();
     let mut checked = 0;
@@ -80,8 +80,13 @@ fn snapshot_from_store_matches_in_memory_searcher() {
             let Ok(query) = Query::parse(&raw) else { continue };
             assert_eq!(
                 snapshot.search(&query),
-                reference.search(&query),
-                "snapshot and in-memory searcher disagree on {raw:?}"
+                from_memory.search(&query),
+                "loaded and in-memory snapshots disagree on {raw:?}"
+            );
+            assert_eq!(
+                snapshot.evaluate(&query, 20, &snapshot.searcher()).0,
+                from_memory.evaluate(&query, 20, &from_memory.searcher()).0,
+                "loaded and in-memory answers disagree on {raw:?}"
             );
             checked += 1;
         }
@@ -91,7 +96,6 @@ fn snapshot_from_store_matches_in_memory_searcher() {
     // The disk-loaded snapshot was lifted decode-free into the same sealed
     // form that sealing the in-memory index produces: byte-identical
     // compressed postings, and a real compression win on a real corpus.
-    let from_memory = IndexSnapshot::from_index(index, docs, 1);
     assert_eq!(snapshot.posting_count(), from_memory.posting_count());
     assert_eq!(snapshot.posting_bytes(), from_memory.posting_bytes());
     assert!(
@@ -143,8 +147,8 @@ proptest! {
         // Raw posting lookups agree too (what the batch memo consumes).
         for term in ["a", "ab", "abcd", "zz"] {
             prop_assert_eq!(
-                loaded.term_postings(&Term::from(term)).into_owned(),
-                in_memory.term_postings(&Term::from(term)).into_owned(),
+                loaded.searcher().term_postings(&Term::from(term)).into_owned(),
+                in_memory.searcher().term_postings(&Term::from(term)).into_owned(),
                 "term_postings disagree on {:?}", term
             );
         }

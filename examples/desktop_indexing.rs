@@ -12,7 +12,8 @@
 use std::env;
 
 use dsearch::core::{Configuration, Implementation, IndexGenerator};
-use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::Query;
+use dsearch::server::IndexSnapshot;
 use dsearch::vfs::{OsFs, VPath};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,15 +51,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nindex: {}", index.stats());
 
     let query = Query::parse(&query_text)?;
-    let searcher = SingleIndexSearcher::new(&index, &docs);
-    let mut results = searcher.search(&query);
-    results.truncate(10);
+    // Answer it the way `dsearch search` and `serve` do: BM25-ranked top 10.
+    let snapshot = IndexSnapshot::from_index(index, docs, 1);
+    let (results, _) = snapshot.evaluate(&query, 10, &snapshot.searcher());
     println!("\ntop hits for {query_text:?}:");
     if results.is_empty() {
         println!("  (no matches)");
     }
     for hit in results.hits() {
-        println!("  {} (matched {} terms)", hit.path, hit.matched_terms);
+        println!("  {} (matched {} terms, score {})", hit.path, hit.matched_terms, hit.score);
     }
     Ok(())
 }

@@ -11,7 +11,8 @@
 
 use dsearch::core::{Configuration, FormatMode, GeneratorOptions, Implementation, IndexGenerator};
 use dsearch::formats::{detect_format, WpxWriter};
-use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::Query;
+use dsearch::server::IndexSnapshot;
 use dsearch::text::Term;
 use dsearch::vfs::{FileSystem, MemFs, VPath};
 
@@ -96,9 +97,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let searcher = SingleIndexSearcher::new(&aware_index, &docs);
+    let snapshot = IndexSnapshot::from_index(aware_index, docs, 1);
     for raw_query in ["revenue growth", "run index generator", "replicated manycore OR minutes"] {
-        let results = searcher.search(&Query::parse(raw_query)?);
+        let (results, _) = snapshot.evaluate(&Query::parse(raw_query)?, 20, &snapshot.searcher());
         println!("\nquery {raw_query:?} → {} hit(s)", results.len());
         for hit in results.hits() {
             println!("  {}", hit.path);

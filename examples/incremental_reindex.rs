@@ -13,7 +13,8 @@ use std::fs;
 
 use dsearch::index::{DocTable, InMemoryIndex};
 use dsearch::persist::{IncrementalIndexer, IndexStore, SignatureDb};
-use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::Query;
+use dsearch::server::IndexSnapshot;
 use dsearch::vfs::{OsFs, VPath};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -81,10 +82,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     fs::write(store_dir.join("signatures.json"), signatures.to_json()?)?;
 
     // ---- the updated index answers queries about the new state -----------
-    let (index, docs) = store.load_joined()?;
-    let searcher = SingleIndexSearcher::new(&index, &docs);
+    let snapshot = IndexSnapshot::load(&store, 1)?;
     for raw in ["replicated", "budget approved", "parallelize"] {
-        let results = searcher.search(&Query::parse(raw)?);
+        let (results, _) = snapshot.evaluate(&Query::parse(raw)?, 20, &snapshot.searcher());
         println!("query {raw:?} → {} hit(s)", results.len());
         for hit in results.hits() {
             println!("  {}", hit.path);

@@ -6,11 +6,23 @@
 //! cargo run --example parallel_query
 //! ```
 
+use std::collections::BTreeSet;
+
 use dsearch::core::{Configuration, Implementation, IndexGenerator};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
-use dsearch::index::IndexSnapshot;
-use dsearch::query::{MultiIndexSearcher, Query, SearchBackend, SingleIndexSearcher};
+use dsearch::persist::IndexStore;
+use dsearch::query::{Query, SearchResults};
+use dsearch::server::IndexSnapshot;
 use dsearch::vfs::VPath;
+
+/// Answers `query` as `dsearch search` and `serve` do, with no result limit.
+fn answer(snapshot: &IndexSnapshot, query: &Query) -> SearchResults {
+    snapshot.evaluate(query, usize::MAX, &snapshot.searcher()).0
+}
+
+fn match_set(results: &SearchResults) -> BTreeSet<&str> {
+    results.paths().into_iter().collect()
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (fs, manifest) = materialize_to_memfs(&CorpusSpec::paper_scaled(0.002), 13);
@@ -41,38 +53,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let query = Query::parse(&terms.join(" "))?;
     println!("query: {query}");
 
-    // Search the replicas directly (sequential and parallel fan-out) and the
-    // joined index; all three must agree.
-    let multi = MultiIndexSearcher::new(&set, &docs);
-    let multi_parallel = MultiIndexSearcher::new(&set, &docs).with_parallel_lookup(true);
-    let single = SingleIndexSearcher::new(&joined, &docs);
-
-    let from_multi = multi.search(&query);
-    let from_parallel = multi_parallel.search(&query);
-    let from_single = single.search(&query);
-    assert_eq!(from_multi, from_single, "multi-index search must match the joined index");
-    assert_eq!(from_parallel, from_single, "parallel fan-out must match too");
-
-    println!(
-        "{} matching files (identical results from all three search paths)",
-        from_single.len()
+    // Search the replicas directly, sealed one shard each, and the joined
+    // index, sealed as one shard.  Both find the same files; the BM25 scores
+    // differ by design, because each shard scores with its own statistics.
+    let replicas = IndexSnapshot::from_shards(set.into_replicas(), docs.clone(), 1);
+    let single = IndexSnapshot::from_index(joined.clone(), docs.clone(), 1);
+    let from_replicas = answer(&replicas, &query);
+    let from_single = answer(&single, &query);
+    assert_eq!(
+        match_set(&from_replicas),
+        match_set(&from_single),
+        "replica search must find the joined index's files"
     );
-    for hit in from_single.hits().iter().take(5) {
-        println!("  {} (matched {} terms)", hit.path, hit.matched_terms);
+    println!(
+        "{} matching files (the same set from {} replica shards and the joined index)",
+        from_single.len(),
+        replicas.shard_count()
+    );
+    for hit in from_replicas.hits().iter().take(5) {
+        println!("  {} (matched {} terms, score {})", hit.path, hit.matched_terms, hit.score);
     }
 
     // Persist the joined index and load it back — the desktop-search engine
-    // does this between indexing runs.
-    let snapshot = IndexSnapshot::from_index(&joined, &docs);
-    let mut buffer = Vec::new();
-    snapshot.write_json(&mut buffer)?;
-    let restored = IndexSnapshot::read_json(&buffer[..])?;
-    let (restored_index, _) = restored.into_index();
-    assert_eq!(restored_index, joined);
+    // does this between indexing runs, and `serve` answers from the result.
+    let dir = std::env::temp_dir().join(format!("dsearch-parallel-query-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let info = IndexStore::open(&dir)?.commit(&joined, &docs)?;
+    let restored = IndexSnapshot::load(&IndexStore::open(&dir)?, 1)?;
+    std::fs::remove_dir_all(&dir)?;
+    assert_eq!(answer(&restored, &query), from_single);
     println!(
-        "\nsnapshot round-trip OK ({} terms, {} bytes of JSON)",
-        restored_index.term_count(),
-        buffer.len()
+        "\nstore round-trip OK ({} terms, {} bytes on disk, same ranked answer)",
+        info.term_count, info.bytes
     );
     Ok(())
 }

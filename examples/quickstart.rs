@@ -6,7 +6,8 @@
 
 use dsearch::core::{Configuration, Implementation, IndexGenerator};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
-use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::Query;
+use dsearch::server::IndexSnapshot;
 use dsearch::vfs::VPath;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,18 +41,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Search it. Query terms go through the same normalisation as indexed
     //    terms, and multiple words mean AND.
-    let searcher = SingleIndexSearcher::new(&index, &docs);
     // Pick two terms we know exist: the two most common terms in the index.
     let mut by_frequency: Vec<_> = index.iter().collect();
     by_frequency.sort_by_key(|(_, postings)| std::cmp::Reverse(postings.len()));
     let common: Vec<String> = by_frequency.iter().take(2).map(|(t, _)| t.to_string()).collect();
 
+    // Seal the index into the serving form and answer the way `dsearch
+    // search` and `serve` do: BM25-ranked, best five.
+    let snapshot = IndexSnapshot::from_index(index, docs, 1);
     let query_text = common.join(" ");
     let query = Query::parse(&query_text)?;
-    let results = searcher.search(&query);
-    println!("query {query_text:?} matched {} files; top hits:", results.len());
-    for hit in results.hits().iter().take(5) {
-        println!("  {} (matched {} terms)", hit.path, hit.matched_terms);
+    let (results, _) = snapshot.evaluate(&query, 5, &snapshot.searcher());
+    println!("query {query_text:?}; top hits:");
+    for hit in results.hits() {
+        println!("  {} (matched {} terms, score {})", hit.path, hit.matched_terms, hit.score);
     }
     Ok(())
 }

@@ -73,6 +73,11 @@ pub mod channel {
         fn drop(&mut self) {
             if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
                 // Last sender gone: wake receivers so they observe shutdown.
+                // Notify under the queue lock: a receiver checks the sender
+                // count and starts waiting while holding it, so a notify
+                // sent without the lock can fall between the two and be lost,
+                // leaving that receiver blocked forever.
+                let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
                 self.shared.not_empty.notify_all();
             }
         }
@@ -88,7 +93,10 @@ pub mod channel {
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
             if self.shared.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Last receiver gone: wake blocked senders so sends fail.
+                // Last receiver gone: wake blocked senders so sends fail
+                // (under the queue lock, for the reason given in
+                // `Sender::drop`).
+                let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
                 self.shared.not_full.notify_all();
             }
         }

@@ -5,7 +5,8 @@
 
 use dsearch::core::{Configuration, FormatMode, GeneratorOptions, Implementation, IndexGenerator};
 use dsearch::formats::{DocumentFormat, FormatRegistry, WpxWriter};
-use dsearch::query::{MultiIndexSearcher, Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::Query;
+use dsearch::server::IndexSnapshot;
 use dsearch::text::Term;
 use dsearch::vfs::{FileSystem, MemFs, VPath};
 
@@ -110,8 +111,8 @@ fn content_is_indexed_and_markup_binary_and_scripts_are_not() {
 
     // The binary file is walked (Stage 1 sees it) but contributes nothing.
     assert_eq!(run.stage2.files, 7);
-    let searcher = SingleIndexSearcher::new(&index, &docs);
-    assert!(searcher.search(&Query::parse("archive OR zip").unwrap()).is_empty());
+    let snapshot = IndexSnapshot::from_index(index, docs, 1);
+    assert!(snapshot.search(&Query::parse("archive OR zip").unwrap()).is_empty());
 }
 
 #[test]
@@ -125,7 +126,9 @@ fn queries_work_across_formats_and_replicas() {
         dsearch::core::IndexOutcome::Replicas { set, .. } => set,
         _ => panic!("Implementation 3 keeps replicas"),
     };
-    let searcher = MultiIndexSearcher::new(&set, &docs).with_parallel_lookup(true);
+    // Implementation 3's replicas, sealed one shard each.
+    let searcher = IndexSnapshot::from_shards(set.into_replicas(), docs, 1);
+    assert_eq!(searcher.shard_count(), 3);
 
     let hits = searcher.search(&Query::parse("speedup").unwrap());
     assert!(hits.paths().contains(&"web/summary.html"));

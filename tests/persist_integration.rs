@@ -9,7 +9,8 @@ use dsearch::core::{Configuration, Implementation, IndexGenerator};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch::index::{DocTable, InMemoryIndex};
 use dsearch::persist::{IncrementalIndexer, IndexStore, SignatureDb};
-use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::Query;
+use dsearch::server::IndexSnapshot;
 use dsearch::text::Term;
 use dsearch::vfs::{MemFs, VPath};
 
@@ -54,13 +55,20 @@ fn pipeline_output_survives_a_store_round_trip() {
     assert_eq!(restored, index);
     assert_eq!(restored_docs.len(), docs.len());
 
-    // Queries answered from the restored index match the in-memory one.
-    let live = SingleIndexSearcher::new(&index, &docs);
-    let persisted = SingleIndexSearcher::new(&restored, &restored_docs);
+    // Queries answered from the store match the in-memory index, ranked
+    // and boolean alike.
+    let terms: Vec<_> = index.iter().take(20).map(|(term, _)| term.clone()).collect();
+    let live = IndexSnapshot::from_index(index, docs, 1);
+    let persisted = IndexSnapshot::load(&store, 1).unwrap();
     let mut checked = 0;
-    for (term, _) in index.iter().take(20) {
+    for term in terms {
         let q = Query::all_of([term.clone()]);
         assert_eq!(live.search(&q), persisted.search(&q), "term {term}");
+        assert_eq!(
+            live.evaluate(&q, 20, &live.searcher()).0,
+            persisted.evaluate(&q, 20, &persisted.searcher()).0,
+            "term {term}"
+        );
         checked += 1;
     }
     assert!(checked > 0);
@@ -198,10 +206,9 @@ fn signature_db_and_store_survive_process_restart_on_disk() {
     }
 
     let store = IndexStore::open(&store_dir).unwrap();
-    let (index, docs) = store.load_joined().unwrap();
-    let searcher = SingleIndexSearcher::new(&index, &docs);
-    assert_eq!(searcher.search(&Query::parse("delta").unwrap()).len(), 1);
-    assert!(searcher.search(&Query::parse("beta").unwrap()).len() == 1);
+    let snapshot = IndexSnapshot::load(&store, 1).unwrap();
+    assert_eq!(snapshot.search(&Query::parse("delta").unwrap()).len(), 1);
+    assert!(snapshot.search(&Query::parse("beta").unwrap()).len() == 1);
 }
 
 #[test]

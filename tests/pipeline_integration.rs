@@ -7,7 +7,7 @@ use dsearch::core::{
     Configuration, GeneratorOptions, Implementation, IndexGenerator, IndexOutcome, PipelineError,
 };
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
-use dsearch::index::IndexSnapshot;
+use dsearch::persist::IndexStore;
 use dsearch::text::Term;
 use dsearch::vfs::{CountingFs, MemFs, VPath};
 
@@ -167,10 +167,13 @@ fn snapshot_of_parallel_run_round_trips() {
         .run(&fs, &VPath::root(), Implementation::ReplicateJoin, Configuration::new(3, 0, 2))
         .unwrap();
     let (index, docs) = run.outcome.into_single_index();
-    let snapshot = IndexSnapshot::from_index(&index, &docs);
-    let mut buffer = Vec::new();
-    snapshot.write_json(&mut buffer).unwrap();
-    let (restored, restored_docs) = IndexSnapshot::read_json(&buffer[..]).unwrap().into_index();
+    let dir =
+        std::env::temp_dir().join(format!("dsearch-pipeline-roundtrip-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    IndexStore::open(&dir).unwrap().commit(&index, &docs).unwrap();
+    // Re-open the store as a new process would.
+    let (restored, restored_docs) = IndexStore::open(&dir).unwrap().load_segment(0).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(restored, index);
     assert_eq!(restored_docs, docs);
 }

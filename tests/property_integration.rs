@@ -17,7 +17,8 @@ use dsearch::core::{Configuration, Implementation, IndexGenerator};
 use dsearch::index::{DocTable, InMemoryIndex};
 use dsearch::persist::segment::{read_segment, write_segment};
 use dsearch::persist::{IncrementalIndexer, SignatureDb};
-use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::Query;
+use dsearch::server::IndexSnapshot;
 use dsearch::text::Term;
 use dsearch::vfs::{MemFs, VPath};
 
@@ -112,11 +113,16 @@ proptest! {
             .run(&fs, &VPath::root(), Implementation::ReplicateJoin, Configuration::new(2, 0, 0))
             .unwrap();
         let (index, docs) = run.outcome.into_single_index();
-        let searcher = SingleIndexSearcher::new(&index, &docs);
+        let snapshot = IndexSnapshot::from_index(index, docs, 1);
+        // Every query is answered as the front ends answer it (ranked where
+        // scorable), with no limit so the whole match set comes back.
+        let searcher = |raw: &str| {
+            snapshot.evaluate(&Query::parse(raw).unwrap(), usize::MAX, &snapshot.searcher()).0
+        };
 
         // AND of two words.
         let expected = reference_and_query(&files, &[needle_a.as_str(), needle_b.as_str()]);
-        let results = searcher.search(&Query::parse(&format!("{needle_a} {needle_b}")).unwrap());
+        let results = searcher(&format!("{needle_a} {needle_b}"));
         let got: BTreeSet<String> = results.hits().iter().map(|h| h.path.to_string()).collect();
         prop_assert_eq!(got, expected);
 
@@ -125,7 +131,7 @@ proptest! {
         let with_b = reference_and_query(&files, &[needle_b.as_str()]);
         let expected_not: BTreeSet<String> = with_a.difference(&with_b).cloned().collect();
         if !expected_not.is_empty() || !with_a.is_empty() {
-            let results = searcher.search(&Query::parse(&format!("{needle_a} NOT {needle_b}")).unwrap());
+            let results = searcher(&format!("{needle_a} NOT {needle_b}"));
             let got: BTreeSet<String> = results.hits().iter().map(|h| h.path.to_string()).collect();
             prop_assert_eq!(got, expected_not);
         }
@@ -133,7 +139,7 @@ proptest! {
         // A prefix query for the first two letters of `needle_a` finds at
         // least every document the exact query finds.
         let prefix = &needle_a[..2];
-        let results = searcher.search(&Query::parse(&format!("{prefix}*")).unwrap());
+        let results = searcher(&format!("{prefix}*"));
         let got: BTreeSet<String> = results.hits().iter().map(|h| h.path.to_string()).collect();
         prop_assert!(with_a.is_subset(&got));
     }

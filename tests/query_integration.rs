@@ -1,12 +1,18 @@
 //! Integration tests for the query layer against indices produced by the
-//! real pipeline: the joined index (Implementations 1/2) and the replica set
-//! (Implementation 3) must answer every query identically.
+//! real pipeline: the joined index (Implementations 1/2), sealed as one
+//! shard, and the replica set (Implementation 3), sealed as one shard per
+//! replica, must match every query identically.
 
 use dsearch::core::{Configuration, Implementation, IndexGenerator, IndexOutcome};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
-use dsearch::query::{MultiIndexSearcher, Query, SearchBackend, SingleIndexSearcher};
+use dsearch::index::{InMemoryIndex, SealedShard};
+use dsearch::query::{evaluate, Query, SealedSearcher, SearchBackend};
 use dsearch::text::Term;
 use dsearch::vfs::{MemFs, VPath};
+
+fn seal(index: &InMemoryIndex) -> Vec<SealedShard> {
+    vec![SealedShard::from_index(index)]
+}
 
 fn build_outcomes(
 ) -> (dsearch::index::InMemoryIndex, dsearch::index::DocTable, dsearch::index::IndexSet) {
@@ -37,9 +43,12 @@ fn frequent_terms(index: &dsearch::index::InMemoryIndex, n: usize) -> Vec<String
 #[test]
 fn joined_and_replicated_indices_answer_queries_identically() {
     let (joined, docs, set) = build_outcomes();
-    let single = SingleIndexSearcher::new(&joined, &docs);
-    let multi = MultiIndexSearcher::new(&set, &docs);
-    let multi_parallel = MultiIndexSearcher::new(&set, &docs).with_parallel_lookup(true);
+    let joined_shards = seal(&joined);
+    let replica_shards: Vec<SealedShard> =
+        set.replicas().iter().map(SealedShard::from_index).collect();
+    assert_eq!(replica_shards.len(), 3);
+    let single = SealedSearcher::new(&joined_shards, &docs);
+    let multi = SealedSearcher::new(&replica_shards, &docs);
 
     let terms = frequent_terms(&joined, 6);
     let queries = [
@@ -47,21 +56,53 @@ fn joined_and_replicated_indices_answer_queries_identically() {
         format!("{} {}", terms[0], terms[1]),
         format!("{} OR {}", terms[2], terms[3]),
         format!("{} {} OR {} {}", terms[0], terms[4], terms[1], terms[5]),
+        format!("{} NOT {}", terms[0], terms[1]),
+        format!("{}* OR {}", terms[2].chars().take(2).collect::<String>(), terms[3]),
         "termthatdoesnotexistanywhere".to_string(),
         format!("{} termthatdoesnotexistanywhere", terms[0]),
     ];
     for raw in queries {
         let query = Query::parse(&raw).unwrap();
-        let expected = single.search(&query);
-        assert_eq!(multi.search(&query), expected, "query {raw:?}");
-        assert_eq!(multi_parallel.search(&query), expected, "parallel query {raw:?}");
+        assert_eq!(multi.search(&query), single.search(&query), "query {raw:?}");
+    }
+}
+
+#[test]
+fn ranked_answers_of_replicas_and_joined_index_find_the_same_files() {
+    // BM25 statistics are per shard, so the replicas and the joined index
+    // score the same document differently — but the ranked answer rule
+    // must still find exactly the same files when nothing is cut off.
+    let (joined, docs, set) = build_outcomes();
+    let joined_shards = seal(&joined);
+    let replica_shards: Vec<SealedShard> =
+        set.replicas().iter().map(SealedShard::from_index).collect();
+    let terms = frequent_terms(&joined, 6);
+    for raw in [
+        terms[0].clone(),
+        format!("{} OR {}", terms[1], terms[2]),
+        format!("{} {}", terms[0], terms[3]),
+        format!("{} {} OR {}", terms[4], terms[5], terms[1]),
+    ] {
+        let query = Query::parse(&raw).unwrap();
+        let answer = |shards: &[SealedShard]| {
+            let searcher = SealedSearcher::new(shards, &docs);
+            let (results, prune) = evaluate(shards, &docs, &query, usize::MAX, &searcher);
+            assert!(prune.is_some(), "query {raw:?} is scorable");
+            let mut paths: Vec<String> = results.paths().iter().map(|p| (*p).to_owned()).collect();
+            paths.sort();
+            paths
+        };
+        let from_joined = answer(&joined_shards);
+        assert!(!from_joined.is_empty(), "query {raw:?}");
+        assert_eq!(answer(&replica_shards), from_joined, "query {raw:?}");
     }
 }
 
 #[test]
 fn search_results_agree_with_raw_postings() {
     let (joined, docs, _) = build_outcomes();
-    let single = SingleIndexSearcher::new(&joined, &docs);
+    let shards = seal(&joined);
+    let single = SealedSearcher::new(&shards, &docs);
     for term_text in frequent_terms(&joined, 10) {
         let term = Term::from(term_text.as_str());
         let query = Query::parse(&term_text).unwrap();
@@ -87,7 +128,8 @@ fn queries_against_a_known_corpus_return_exactly_the_right_files() {
         .run(&fs, &VPath::root(), Implementation::SharedLocked, Configuration::new(2, 0, 0))
         .unwrap();
     let (index, docs) = run.outcome.into_single_index();
-    let searcher = SingleIndexSearcher::new(&index, &docs);
+    let shards = seal(&index);
+    let searcher = SealedSearcher::new(&shards, &docs);
 
     let paths = |raw: &str| -> Vec<String> {
         let mut p: Vec<String> = searcher
@@ -118,7 +160,8 @@ fn ranking_prefers_files_matching_more_terms() {
         .run(&fs, &VPath::root(), Implementation::ReplicateJoin, Configuration::new(1, 0, 0))
         .unwrap();
     let (index, docs) = run.outcome.into_single_index();
-    let searcher = SingleIndexSearcher::new(&index, &docs);
+    let shards = seal(&index);
+    let searcher = SealedSearcher::new(&shards, &docs);
     let results = searcher.search(&Query::parse("rust parallel OR rust").unwrap());
     assert_eq!(results.len(), 2);
     assert_eq!(&*results.hits()[0].path, "both.txt");
